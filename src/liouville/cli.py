@@ -197,7 +197,7 @@ def _cert_text(cert) -> str:
     return msg
 
 
-def result_json(t: Tower, res, report=None) -> dict:
+def result_json(t: Tower, res, report=None, symbolic_ok: bool = False) -> dict:
     if isinstance(res, NonElementary):
         return {
             "status": "non_elementary",
@@ -223,7 +223,7 @@ def result_json(t: Tower, res, report=None) -> dict:
         ]
     if report is not None:
         out["verification"] = {
-            "symbolic_ok": report.symbolic_ok,
+            "symbolic_ok": symbolic_ok,
             "max_abs_error": report.max_abs_error,
             "samples": [
                 {
@@ -287,7 +287,8 @@ def run(config: RunConfig, out=None) -> int:
             for a in res.assumptions:
                 emit(f"  assuming: {a}")
         return EXIT_NON_ELEMENTARY
-    if config.verify and not verify_derivative(t, res, f):
+    symbolic_ok = config.verify and verify_derivative(t, res, f)
+    if config.verify and not symbolic_ok:
         if config.json_output:
             emit(json.dumps({"status": "verification_failure"}))
         else:
@@ -314,7 +315,7 @@ def run(config: RunConfig, out=None) -> int:
                 )
             return EXIT_VERIFY_BUG
     if config.json_output:
-        emit(json.dumps(result_json(t, res, report)))
+        emit(json.dumps(result_json(t, res, report, symbolic_ok)))
     else:
         emit(render_text(t, res))
         for a in res.assumptions:

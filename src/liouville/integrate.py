@@ -797,9 +797,9 @@ def _integrate_degenerate_poly(t: Tower, p: Poly, level: int):
 
 def _integrate_proper(t: Tower, num: Poly, den: Poly, level: int):
     """Hermite + log part for a proper reduced fraction. Returns (r0, logs,
-    rsums, mismatch) or a certificate; mismatch = remainder - d(log part) is
-    nonzero only under an exponential monomial, where it is theta-free and
-    rejoins the polynomial part."""
+    rsums, Hermite remainder) or a certificate. remainder - d(log part) is
+    zero by theorem at level 0 and under a log monomial; under an exp one it
+    is theta-free and rejoins the polynomial part."""
     if num.is_zero():
         return t.zero(), [], [], t.zero()
     rat_part, rn, rd = _hermite(t, num, den, level)
@@ -810,8 +810,7 @@ def _integrate_proper(t: Tower, num: Poly, den: Poly, level: int):
     if _is_cert(rt):
         return rt
     logs, rsums = rt
-    mismatch = remainder - _logs_dlog(t, logs, rsums)
-    return rat_part, logs, rsums, mismatch
+    return rat_part, logs, rsums, remainder
 
 
 def _integrate(t: Tower, f: TowerElem):
@@ -829,8 +828,7 @@ def _integrate(t: Tower, f: TowerElem):
         out = _integrate_proper(t, rem_num, rep.den, 0)
         if _is_cert(out):
             return out
-        rat_part, logs, rsums, mismatch = out
-        assert mismatch.is_zero()
+        rat_part, logs, rsums, _ = out
         return LiouvilleForm(
             _integrate_base_poly(t, pp) + rat_part, tuple(logs), tuple(rsums)
         )
@@ -869,12 +867,10 @@ def _integrate(t: Tower, f: TowerElem):
     out = _integrate_proper(t, rem_num, den, level)
     if _is_cert(out):
         return out
-    rat_part, logs, rsums, mismatch = out
-    r0 = rat_part
+    r0, logs, rsums, remainder = out
     logs = list(logs)
     rsums = list(rsums)
     if mono.kind == "log":
-        assert mismatch.is_zero()
         res = integrate_polypart_log(t, pp, level)
         if _is_cert(res):
             return res
@@ -883,6 +879,7 @@ def _integrate(t: Tower, f: TowerElem):
             r0 + q_poly, tuple(logs + logs2), tuple(rsums + rsums2)
         )
     # exponential monomial
+    mismatch = remainder - _logs_dlog(t, logs, rsums)
     if not mismatch.is_zero():
         assert mismatch.level < level, "log-part mismatch must be theta-free"
         laurent[0] = laurent.get(0, t.zero()) + mismatch

@@ -299,8 +299,7 @@ class Tower:
 
         return ev_rep(f.rep, f.level)
 
-    def eval_complex(self, f: TowerElem, x_val: complex,
-                     _memo: dict | None = None) -> complex:
+    def eval_complex(self, f: TowerElem, x_val: complex) -> complex:
         """Numeric evaluation with principal branches for the monomials."""
         import cmath
 

@@ -126,3 +126,35 @@ def test_radical_rendering():
     code, out = run_text("1/(x^2-2)")
     assert code == 0
     assert "sqrt(2)" in out and "log(x - sqrt(2))" in out
+
+
+def _corpus_entries():
+    with open(CORPUS, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                fields = [fld.strip() for fld in line.split(";")]
+                yield fields[0], fields[1]
+
+
+def test_exact_check_runs_once_per_elementary_result(monkeypatch):
+    """run re-differentiates an elementary result exactly once (the numeric
+    check does not repeat it), and not at all without verification."""
+    import liouville.cli as cli_mod
+    import liouville.verify as verify_mod
+
+    calls = []
+    original = verify_mod.verify_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli_mod, "verify_derivative", counted)
+    monkeypatch.setattr(verify_mod, "verify_derivative", counted)
+    for text, verdict in _corpus_entries():
+        for verify in (True, False):
+            calls.clear()
+            run_text(text, json_output=True, verify=verify)
+            expected = 1 if verify and verdict == "elementary" else 0
+            assert len(calls) == expected, (text, verify, len(calls))

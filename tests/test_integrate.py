@@ -5,6 +5,8 @@ Every expected value was either worked by hand (differentiating the claimed
 antiderivative) or computed with the independent brute-force / residue
 oracles in this file, then frozen.
 """
+import importlib
+import os
 import random
 from fractions import Fraction
 
@@ -16,8 +18,11 @@ from liouville.integrate import (
     LiouvilleForm, LogTerm, NonElementary,
     ResidueNotConstant, RischOdeUnsolvable, LogDegreeObstruction,
     integrate, hermite_reduce, rothstein_trager, integrate_polypart_log,
-    solve_rde, combine, form_derivative, _rootsum_dlog,
+    solve_rde, combine, form_derivative, _rootsum_dlog, _logs_dlog,
 )
+
+# the package re-exports the function integrate under the module's name
+integrate_mod = importlib.import_module("liouville.integrate")
 
 
 def build(text):
@@ -425,6 +430,69 @@ def test_root_sum_dlog_matches_integrand():
     t, f, res = run("1/(x^3-2)")
     total = _rootsum_dlog(t, res.root_sums[0])
     assert (total - f).is_zero()
+
+
+def _check_log_part_theorem(monkeypatch, integrands):
+    """Integrate each (tower, f) while recording every Rothstein-Trager call.
+    At level 0 and under a logarithmic monomial, the exact derivative of the
+    log part must equal the Hermite remainder it was computed from (the
+    integrator relies on this and does not recompute it there). Returns the
+    number of calls checked."""
+    calls = []
+    original = integrate_mod.rothstein_trager
+
+    def recorded(t, remainder):
+        out = original(t, remainder)
+        calls.append((t, remainder, out))
+        return out
+
+    monkeypatch.setattr(integrate_mod, "rothstein_trager", recorded)
+    for t, f in integrands:
+        res = integrate(t, f)
+        assert isinstance(res, LiouvilleForm), str(f)
+    checked = 0
+    for t, remainder, out in calls:
+        level = remainder.level
+        if level > 0 and t.monomial_at(level).kind != "log":
+            continue
+        assert isinstance(out, tuple), out
+        logs, rsums = out
+        assert (_logs_dlog(t, logs, rsums) - remainder).is_zero(), str(remainder)
+        checked += 1
+    return checked
+
+
+def test_log_part_derivative_is_remainder_on_corpus(monkeypatch):
+    corpus = os.path.join(os.path.dirname(__file__), "..", "corpus", "basic.txt")
+    with open(corpus, encoding="utf-8") as fh:
+        entries = [line.split(";") for line in fh if ";" in line and not line.startswith("#")]
+    integrands = [build(text.strip()) for text, verdict, *_ in entries
+                  if verdict.strip() == "elementary"]
+    assert len(integrands) == 15
+    assert _check_log_part_theorem(monkeypatch, integrands) == 6
+
+
+def test_log_part_derivative_is_remainder_on_rational_shapes(monkeypatch):
+    """Seeded rational shapes: Hermite reduction under repeated factors,
+    root sums over Eisenstein denominators (irreducible at the prime 3) and
+    a squared sparse sextic, where Hermite and a root sum meet."""
+    rng = random.Random(79)
+    t = Tower("x")
+    x = t.x()
+
+    dens = []
+    for i in range(4):
+        q = x * x + x * rng.randint(-1, 1) + rng.randint(1, 3)
+        dens.append(q ** (2 + i % 2) * (x + rng.randint(1, 4)) ** (1 + i // 2))
+    for d in (3, 4, 5):
+        eis = x ** d + rng.choice((-6, -3, 3, 6))
+        for k in range(1, d):
+            eis = eis + x ** k * (3 * rng.randint(-1, 1))
+        dens.append(eis)
+    dens.append((x ** 6 + x ** 3 + 2) ** 2)
+    integrands = [(t, (x * x + x * rng.randint(-3, 3) + rng.randint(-3, 3)) / den)
+                  for den in dens]
+    assert _check_log_part_theorem(monkeypatch, integrands) == len(dens)
 
 
 # -------------------------------------------------------------------- combine
