@@ -3,7 +3,8 @@
 Used for arithmetic with residues that are algebraic over the constants:
 elements are polynomials in the root, reduced modulo S. When S is reducible
 an inversion may hit a zero divisor; the raised SplitsModulus carries the
-discovered factor so callers can refine S and retry.
+discovered factor so the one caller that inverts, the gcd building a
+root-sum argument (integrate._rt_rootsum), can refine S and retry.
 """
 from __future__ import annotations
 

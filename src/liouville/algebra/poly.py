@@ -214,7 +214,8 @@ class Poly:
 
 
 def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder with deg r < deg b; exact field division."""
+    """Quotient and remainder with deg r < deg b; exact field division, and
+    none at all when b is monic, so it also serves coefficient rings."""
     if b.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if a.degree() < b.degree():
@@ -224,12 +225,13 @@ def poly_divmod(a: Poly, b: Poly) -> tuple[Poly, Poly]:
     rem = list(a.coeffs)
     db = b.degree()
     blc = b.lc()
+    monic = (blc - f.one()).is_zero()
     q = [z] * (len(rem) - db)
     for k in range(len(rem) - db - 1, -1, -1):
         c = rem[k + db]
         if c.is_zero():
             continue
-        t = c / blc
+        t = c if monic else c / blc
         q[k] = t
         for j, bc in enumerate(b.coeffs):
             rem[k + j] = rem[k + j] - t * bc

@@ -1,9 +1,9 @@
 """Command line interface and regression-corpus runner.
 
 Exit codes: 0 = elementary (form printed), 1 = non-elementary (certificate
-printed), 2 = unsupported or malformed input, 3 = internal verification
-failure (a result was produced whose derivative does not reproduce the
-integrand; must never happen).
+printed), 2 = unsupported or malformed input (including input nested too
+deeply to parse), 3 = internal error (a result whose derivative does not
+reproduce the integrand, or any other exception; must never happen).
 
 Corpus format, one entry per line, '#' comments:
 
@@ -434,7 +434,15 @@ def main(argv=None) -> int:
         interval=args.interval,
         corpus=args.corpus,
     )
-    return run(config)
+    try:
+        return run(config)
+    except RecursionError:
+        print("unsupported: input nests too deeply", file=sys.stderr)
+        return EXIT_UNSUPPORTED
+    except Exception as e:
+        message = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}: {message}", file=sys.stderr)
+        return EXIT_VERIFY_BUG
 
 
 if __name__ == "__main__":

@@ -11,7 +11,8 @@ condition that broke, re-checkable by independent brute force.
 
 Residues that are algebraic over Q(i) are carried as formal root sums
 "sum over S(a) = 0 of a * log(v(a))"; their contribution to a derivative is
-computed exactly with power sums, never numerically.
+computed exactly by norm and trace, sum_a a * D(v_a) / v_a =
+Tr(a * D(v) * (N / v)) / N with N = res_a(S, v), never numerically.
 """
 from __future__ import annotations
 
@@ -138,32 +139,52 @@ def _is_degenerate(t: Tower, level: int) -> bool:
     return t.monomial_dlog(level).is_zero()
 
 
+def _interpolate(field, values: list, var: str) -> Poly:
+    """The polynomial of degree < len(values) with value values[k] at k."""
+    dd = list(values)
+    for k in range(1, len(dd)):
+        inv_k = field.one() / field.from_int(k)
+        for i in range(len(dd) - 1, k - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) * inv_k
+    out = Poly(field, [], var)
+    for k in range(len(dd) - 1, -1, -1):
+        x_minus_k = Poly(field, [field.from_int(-k), field.one()], var)
+        out = out * x_minus_k + Poly.const(field, dd[k], var)
+    return out
+
+
 def _rootsum_dlog(t: Tower, rs: RootSumTerm) -> TowerElem:
-    """Exact sum over the roots a of S of a * D(v(a)) / v(a), an element of
-    the tower field, via reduction mod S and Newton power sums."""
+    """Exact sum over the roots a of S of a * D(v_a) / v_a, an element of the
+    tower field, as Tr(a * D(v) * (N / v)) / N. v is monic in theta over
+    K[a]/(S), so the norm N = res_a(S, v) = prod_a v_a in K[theta] has degree
+    deg S * deg v and N / v is exact: no inverse is taken in K(theta)[a]/(S).
+    N is interpolated from resultants over K at theta = 0..deg N; the trace
+    Tr pairs the coefficients in a with the power sums of S."""
     level = rs.level
-    L = t.field(level)
-    modulus = rs.poly.map_coeffs(
-        lambda c: t.lift_rep(t.field(0).from_coeff(c), 0, level),
-        field=L, var=rs.poly.var,
-    )
-    ext = AlgExtField(modulus)
-    v = ext.from_poly(rs.arg)
-    dv = ext.from_poly(
-        Poly(L, [t._derive_rep(c, level) for c in v.rep.coeffs], v.rep.var)
-    )
-    try:
-        w = ext.root() * dv * v.inv()
-    except SplitsModulus as exc:
-        raise UnsupportedError(
-            "root-sum argument is a zero divisor modulo the residue polynomial"
-        ) from exc
-    psums = power_sums(rs.poly, max(rs.poly.degree() - 1, w.rep.degree()))
-    acc = t.zero()
-    for k, coeff in enumerate(w.rep.coeffs):
-        if not coeff.is_zero():
-            acc = acc + TowerElem(t, level, coeff) * t.const(psums[k])
-    return acc
+    K, var = _coeff_field(t, level), t.field(level).var
+    ext = AlgExtField(rs.poly.map_coeffs(lambda c: _coeff_const(t, c, level), field=K))
+
+    def in_theta(coeffs) -> Poly:
+        if not all(c.is_poly() for c in coeffs):
+            raise ArithmeticError("root-sum argument is not polynomial in the monomial")
+        deg = max(c.num.degree() for c in coeffs)
+        return Poly(ext, [ext.from_poly(Poly(K, [c.num.coeff(j) for c in coeffs], rs.poly.var))
+                          for j in range(deg + 1)], var)
+
+    v = in_theta(rs.arg.coeffs)
+    dv = in_theta([t._derive_rep(c, level) for c in rs.arg.coeffs])
+    if v.lc() != ext.one():
+        raise ArithmeticError(f"root-sum argument {rs.arg} is not monic in {var}")
+    n = rs.poly.degree() * v.degree()
+    values = [v.eval(ext.from_int(k)).rep for k in range(n + 1)]
+    N = _interpolate(K, [resultant(ext.modulus, p) if not p.is_zero() else K.zero()
+                         for p in values], var)
+    if N.degree() != n:
+        raise ArithmeticError(f"norm of a root-sum argument has degree {N.degree()}, not {n}")
+    w = (dv * poly_exact_div(N.map_coeffs(ext.from_coeff, field=ext), v)).scale(ext.root())
+    psums = [_coeff_const(t, p, level) for p in power_sums(rs.poly, rs.poly.degree() - 1)]
+    trace = [sum((ck * p for ck, p in zip(c.rep.coeffs, psums)), K.zero()) for c in w.coeffs]
+    return TowerElem(t, level, RatFunc(Poly(K, trace, var), N))
 
 
 def _logs_dlog(t: Tower, logs, root_sums) -> TowerElem:
@@ -560,7 +581,8 @@ def _rde_poly_solve_base(P: Poly, Q: Poly, R: Poly, trace: _RdeTrace):
     elif dQ > dP - 1:
         candidates.append(dR - dQ)
     elif dQ < dP - 1:
-        candidates.append(dR - dP + 1)
+        # Y' drops out only for constant Y, when Q*Y alone meets R
+        candidates.append(max(0, dR - dP + 1))
     else:
         candidates.append(dR - dP + 1)
         ratio = -(Q.lc() / P.lc())

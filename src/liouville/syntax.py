@@ -12,7 +12,6 @@ binds tighter than unary minus):
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -30,98 +29,110 @@ class ParseError(Exception):
 # ----------------------------------------------------------------- AST nodes
 
 
-@dataclass(frozen=True)
-class Const:
-    value: GaussRat
+class _Node:
+    """Immutable slotted record: equality, hash and repr come from the class
+    and the values of its slots, in slot order."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} values")
+        for i in range(len(names)):
+            object.__setattr__(self, names[i], values[i])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Const(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "Expr"
-    right: "Expr"
+class Var(_Node):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "Expr"
-    right: "Expr"
+class Add(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "Expr"
-    right: "Expr"
+class Sub(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "Expr"
-    right: "Expr"
+class Mul(_Node):
+    __slots__ = ("left", "right")
 
-    def __post_init__(self):
-        if isinstance(self.right, Const) and self.right.value.is_zero():
+
+class Div(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        if isinstance(right, Const) and right.value.is_zero():
             raise ZeroDivisionError("division by syntactic zero")
+        super().__init__(left, right)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "Expr"
-    exponent: "Expr"
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
 
 
-@dataclass(frozen=True)
-class Exp:
-    arg: "Expr"
+class Exp(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Log:
-    arg: "Expr"
+class Log(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Sin:
-    arg: "Expr"
+class Sin(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Cos:
-    arg: "Expr"
+class Cos(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Tan:
-    arg: "Expr"
+class Tan(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Cot:
-    arg: "Expr"
+class Cot(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Arcsin:
-    arg: "Expr"
+class Arcsin(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Arccos:
-    arg: "Expr"
+class Arccos(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Arctan:
-    arg: "Expr"
+class Arctan(_Node):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Arccot:
-    arg: "Expr"
+class Arccot(_Node):
+    __slots__ = ("arg",)
+
 
 Expr = Union[
     Const, Var, Add, Sub, Mul, Div, Pow,
@@ -149,12 +160,8 @@ _FUNCTIONS = {
 # ------------------------------------------------------------------- lexer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "end"
-    text: str
-    value: object
-    column: int
+class _Token(_Node):
+    __slots__ = ("kind", "text", "value", "column")  # kind: num, ident, op, end
 
 
 def _tokenize(text: str) -> list[_Token]:

@@ -34,6 +34,28 @@ def test_invalid_interval_rejected():
     assert main(["1/x", "--interval", "2,1"]) == 2
 
 
+def test_deep_nesting_exits_unsupported(capsys):
+    """Input nested past the parser's recursion ends in exit 2, not in an
+    uncaught RecursionError (which would exit 1, the non-elementary code)."""
+    assert main(["(" * 3000 + "x" + ")" * 3000]) == 2
+    err = capsys.readouterr().err
+    assert err == "unsupported: input nests too deeply\n"
+
+
+def test_unexpected_exception_exits_internal_error(monkeypatch, capsys):
+    """Any other exception escaping run ends in exit 3 with one line on
+    stderr."""
+    import liouville.cli as cli_mod
+
+    def broken(t, f):
+        raise ValueError("first line\nsecond line")
+
+    monkeypatch.setattr(cli_mod, "integrate", broken)
+    assert main(["1/x"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: first line second line\n"
+
+
 def test_json_output_schema():
     code, out = run_text("1/(x^2-1)", json_output=True)
     assert code == 0

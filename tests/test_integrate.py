@@ -10,12 +10,15 @@ import os
 import random
 from fractions import Fraction
 
+import pytest
+
+from liouville.algebra.extension import AlgExtField, power_sums
 from liouville.algebra.gaussian import GaussRat, QI
 from liouville.algebra.poly import Poly, squarefree_decompose
 from liouville.syntax import parse
-from liouville.tower import Tower, build_tower
+from liouville.tower import Tower, TowerElem, build_tower
 from liouville.integrate import (
-    LiouvilleForm, LogTerm, NonElementary,
+    LiouvilleForm, LogTerm, NonElementary, RootSumTerm,
     ResidueNotConstant, RischOdeUnsolvable, LogDegreeObstruction,
     integrate, hermite_reduce, rothstein_trager, integrate_polypart_log,
     solve_rde, combine, form_derivative, _rootsum_dlog, _logs_dlog,
@@ -23,6 +26,8 @@ from liouville.integrate import (
 
 # the package re-exports the function integrate under the module's name
 integrate_mod = importlib.import_module("liouville.integrate")
+poly_mod = importlib.import_module("liouville.algebra.poly")
+extension_mod = importlib.import_module("liouville.algebra.extension")
 
 
 def build(text):
@@ -70,10 +75,10 @@ def _frac_solve(rows, rhs):
     return out
 
 
-def brute_rde_poly_solution(P, Q, R, max_deg=10):
+def brute_rde_poly_solution(P, Q, R, max_deg=10, min_deg=0):
     """Search for polynomial y with P*y' + Q*y = R over Q, coefficients as
     Fraction lists (index = degree). Returns coefficients or None."""
-    for n in range(max_deg + 1):
+    for n in range(min_deg, max_deg + 1):
         height = max(len(P) + n, len(Q) + n + 1, len(R)) + 1
         rows = [[Fraction(0)] * (n + 1) for _ in range(height)]
         for j in range(n + 1):
@@ -286,36 +291,74 @@ def test_rde_round_trip_random():
         done += 1
 
 
+def _list_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+def _list_add(a, b):
+    n = max(len(a), len(b))
+    return [(a[j] if j < len(a) else 0) + (b[j] if j < len(b) else 0) for j in range(n)]
+
+
+def brute_rde_rational_solution(P, Q, R, max_pole=2):
+    """Search for y = Y / P^k, k <= max_pole, with P*y' + Q*y = R: then Y is
+    a polynomial with P*Y' + (Q - k*P')*Y = R*P^k. Returns (k, Y) or None.
+    A polynomial solution of degree n also solves the system at any larger
+    degree bound, so one bound per k decides existence."""
+    dP = [j * c for j, c in enumerate(P)][1:] or [Fraction(0)]
+    Rk = list(R)
+    for k in range(max_pole + 1):
+        Qk = _list_add(Q, [-k * c for c in dP])
+        bound = 6 + k * (len(P) - 1)
+        sol = brute_rde_poly_solution(P, Qk, Rk, max_deg=bound, min_deg=bound)
+        if sol is not None:
+            return k, sol
+        Rk = _list_mul(Rk, P)
+    return None
+
+
 def test_rde_agrees_with_brute_force():
-    """Random base-level instances with polynomial coefficients of degree at
-    most 4: the solver and the brute-force search agree on solvability."""
+    """Random base-level instances P*y' + Q*y = R with P of degree 0 to 3,
+    so that w = Q/P and g = R/P may have poles, and Q, R of degree at most
+    4; R is random or made from a polynomial solution of degree 0 to 2.
+    The solver and the brute-force search agree on solvability."""
     rng = random.Random(71)
     t = Tower("x")
     F0 = t.field(0)
-    from liouville.tower import TowerElem
     from liouville.algebra.ratfunc import RatFunc
 
-    checked = 0
+    def ints(lo_len, hi_len):
+        return [Fraction(rng.randint(-3, 3)) for _ in range(rng.randint(lo_len, hi_len))]
+
+    def elem(num, den):
+        return TowerElem(t, 0, RatFunc(F0.poly([GaussRat(v) for v in num]),
+                                       F0.poly([GaussRat(v) for v in den])))
+
+    checked = solvable = 0
     while checked < 80:
-        w_ints = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
-        g_ints = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
-        w_p = F0.poly([GaussRat(v) for v in w_ints])
-        g_p = F0.poly([GaussRat(v) for v in g_ints])
-        if w_p.is_zero() or g_p.is_zero():
-            continue
-        w = TowerElem(t, 0, RatFunc(w_p, F0.poly([GaussRat(1)])))
-        g = TowerElem(t, 0, RatFunc(g_p, F0.poly([GaussRat(1)])))
-        ours = solve_rde(t, w, g)
-        brute = brute_rde_poly_solution(
-            [Fraction(1)],
-            [Fraction(v) for v in w_ints],
-            [Fraction(v) for v in g_ints],
-        )
-        if isinstance(ours, RischOdeUnsolvable):
-            assert brute is None, (w_ints, g_ints)
+        P = ints(1, 4)
+        Q = ints(1, 5)
+        if rng.random() < 0.5:
+            R = ints(1, 5)
         else:
-            assert brute is not None, (w_ints, g_ints)
+            y0 = ints(1, 3)
+            dy0 = [j * c for j, c in enumerate(y0)][1:] or [Fraction(0)]
+            R = _list_add(_list_mul(P, dy0), _list_mul(Q, y0))
+        if not any(P) or not any(Q) or not any(R):
+            continue
+        ours = solve_rde(t, elem(Q, P), elem(R, P))
+        brute = brute_rde_rational_solution(P, Q, R)
+        if isinstance(ours, RischOdeUnsolvable):
+            assert brute is None, (P, Q, R, brute)
+        else:
+            assert brute is not None, (P, Q, R, str(ours))
+            solvable += 1
         checked += 1
+    assert 20 <= solvable <= 60
 
 
 # ------------------------------------------------------------------- corpus
@@ -430,6 +473,98 @@ def test_root_sum_dlog_matches_integrand():
     t, f, res = run("1/(x^3-2)")
     total = _rootsum_dlog(t, res.root_sums[0])
     assert (total - f).is_zero()
+
+
+def _rootsum_dlog_by_inversion(t, rs):
+    """Reference for _rootsum_dlog: sum over the roots a of S of
+    a * D(v(a)) / v(a), computed by inverting v in K(theta)[a]/(S) and
+    reducing the trace with Newton power sums."""
+    level = rs.level
+    L = t.field(level)
+    modulus = rs.poly.map_coeffs(
+        lambda c: t.lift_rep(t.field(0).from_coeff(c), 0, level),
+        field=L, var=rs.poly.var,
+    )
+    ext = AlgExtField(modulus)
+    v = ext.from_poly(rs.arg)
+    dv = ext.from_poly(
+        Poly(L, [t._derive_rep(c, level) for c in v.rep.coeffs], v.rep.var)
+    )
+    w = ext.root() * dv * v.inv()
+    psums = power_sums(rs.poly, max(rs.poly.degree() - 1, w.rep.degree()))
+    acc = t.zero()
+    for k, coeff in enumerate(w.rep.coeffs):
+        if not coeff.is_zero():
+            acc = acc + TowerElem(t, level, coeff) * t.const(psums[k])
+    return acc
+
+
+# integrands whose log part is one or more root sums above level 0
+ROOT_SUM_LEVEL_1 = [
+    "1/(x*(log(x)^3-2))",
+    "exp(x)/(exp(x)^3-2)",
+    "1/(x*(log(x)^5+log(x)+1))",
+]
+
+
+def _seeded_level0_root_sums():
+    """Root sums of residue degree 2 to 6 from seeded rational integrands
+    over irreducible (Eisenstein at 3) denominators, plus the Hermite-reduced
+    (x^4+1)/(x^6+x^3+2)^3."""
+    rng = random.Random(83)
+    t = Tower("x")
+    x = t.x()
+    out = []
+    for d in range(2, 7):
+        den = x ** d + rng.choice((-6, -3, 3, 6))
+        for k in range(1, d):
+            den = den + x ** k * (3 * rng.randint(-1, 1))
+        num = t.from_int(rng.choice((-2, -1, 1, 2)))
+        for k in range(1, d):
+            num = num + x ** k * rng.randint(-2, 2)
+        res = integrate(t, num / den)
+        out.extend((t, rs) for rs in res.root_sums)
+    t, _, res = run("(x^4+1)/(x^6+x^3+2)^3")
+    out.extend((t, rs) for rs in res.root_sums)
+    return out
+
+
+def _root_sum_cases():
+    cases = _seeded_level0_root_sums()
+    for text in ROOT_SUM_LEVEL_1:
+        t, _, res = run(text)
+        assert res.root_sums and all(rs.level == 1 for rs in res.root_sums), text
+        cases.extend((t, rs) for rs in res.root_sums)
+    return cases
+
+
+def test_rootsum_dlog_equals_inversion_reference():
+    cases = _root_sum_cases()
+    assert {rs.poly.degree() for t, rs in cases if rs.level == 0} == {2, 3, 4, 5, 6}
+    for t, rs in cases:
+        assert _rootsum_dlog(t, rs) == _rootsum_dlog_by_inversion(t, rs), str(rs.arg)
+
+
+def test_rootsum_dlog_takes_no_inverse(monkeypatch):
+    """The norm-and-trace derivative never reaches the extended gcd that an
+    inverse in K(theta)[a]/(S) would need."""
+    cases = _root_sum_cases()
+
+    def forbidden(*args):
+        raise AssertionError("extended_gcd called while differentiating a root sum")
+
+    monkeypatch.setattr(poly_mod, "extended_gcd", forbidden)
+    monkeypatch.setattr(extension_mod, "extended_gcd", forbidden)
+    for t, rs in cases:
+        assert not _rootsum_dlog(t, rs).is_zero()
+
+
+def test_rootsum_dlog_rejects_non_monic_argument():
+    t, _, res = run("1/(x^3-2)")
+    rs = res.root_sums[0]
+    doubled = RootSumTerm(rs.poly, rs.arg.scale(t.field(0).from_int(2)), rs.level)
+    with pytest.raises(ArithmeticError):
+        _rootsum_dlog(t, doubled)
 
 
 def _check_log_part_theorem(monkeypatch, integrands):
