@@ -135,7 +135,8 @@ class GaussRat:
         return self.re * self.re + self.im * self.im
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        re, im = self.re, self.im  # int / int is float(Fraction), minus the numbers ABCs
+        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
 
     # -- comparison / hashing ---------------------------------------
 

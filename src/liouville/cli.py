@@ -244,14 +244,9 @@ def _numeric_report(t, res, f, interval):
     for cand in candidates:
         try:
             return numeric_check(t, res, f, cand)
-        except SingularIntervalError:
+        except (SingularIntervalError, OverflowError, ZeroDivisionError):
             if interval:
                 raise
-            continue
-        except (OverflowError, ZeroDivisionError):
-            if interval:
-                raise
-            continue
     return None
 
 

@@ -11,7 +11,6 @@ binds tighter than unary minus):
 """
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from typing import Union
 
@@ -532,40 +531,3 @@ def contains_trig(e: Expr) -> bool:
     if isinstance(e, (Exp, Log)):
         return contains_trig(e.arg)
     return False
-
-
-# --------------------------------------------------------------- evaluation
-
-
-def eval_expr(e: Expr, env: dict[str, complex]) -> complex:
-    """Numeric evaluation with principal branches; raises on missing vars."""
-    if isinstance(e, Const):
-        return e.value.to_complex()
-    if isinstance(e, Var):
-        if e.name not in env:
-            raise KeyError(f"unbound variable {e.name!r}")
-        return env[e.name]
-    if isinstance(e, Add):
-        return eval_expr(e.left, env) + eval_expr(e.right, env)
-    if isinstance(e, Sub):
-        return eval_expr(e.left, env) - eval_expr(e.right, env)
-    if isinstance(e, Mul):
-        return eval_expr(e.left, env) * eval_expr(e.right, env)
-    if isinstance(e, Div):
-        return eval_expr(e.left, env) / eval_expr(e.right, env)
-    if isinstance(e, Pow):
-        return eval_expr(e.base, env) ** eval_expr(e.exponent, env)
-    arg = eval_expr(e.arg, env)
-    table = {
-        Exp: cmath.exp,
-        Log: cmath.log,
-        Sin: cmath.sin,
-        Cos: cmath.cos,
-        Tan: cmath.tan,
-        Cot: lambda z: cmath.cos(z) / cmath.sin(z),
-        Arcsin: cmath.asin,
-        Arccos: cmath.acos,
-        Arctan: cmath.atan,
-        Arccot: lambda z: cmath.atan(1 / z),
-    }
-    return table[type(e)](arg)

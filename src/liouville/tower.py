@@ -13,9 +13,13 @@ by solving for a rational linear relation between derivatives (exact
 arithmetic over sampled rational points, then exact verification). Forced
 relations such as exp(log a) = a and log(x^2) = 2 log x are simplified
 away; anything residual raises a structured error carrying the witness.
+
+Numeric evaluation: `Tower.point(x)` is [x, t1(x), ..., th(x)] with
+principal branches, and `Tower.eval_rep` evaluates any element on it.
 """
 from __future__ import annotations
 
+import cmath
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,38 +303,31 @@ class Tower:
 
         return ev_rep(f.rep, f.level)
 
-    def eval_complex(self, f: TowerElem, x_val: complex) -> complex:
-        """Numeric evaluation with principal branches for the monomials."""
-        import cmath
-
-        vals: list[complex] = []
+    def point(self, x: complex) -> list[complex]:
+        """[x, t1(x), ..., th(x)]: every monomial evaluated once, with
+        principal branches, in tower order."""
+        pt = [x]
         for mono in self.monomials:
-            a = self._eval_complex_rep(mono.arg.rep, mono.arg.level, x_val, vals)
-            vals.append(cmath.log(a) if mono.kind == "log" else cmath.exp(a))
-        return self._eval_complex_rep(f.rep, f.level, x_val, vals)
+            a = self.eval_rep(mono.arg.rep, mono.arg.level, pt)
+            pt.append(cmath.log(a) if mono.kind == "log" else cmath.exp(a))
+        return pt
 
-    def _eval_complex_rep(self, rep: RatFunc, level: int, x_val: complex,
-                          theta_vals: list[complex]) -> complex:
-        def ev_poly(p: Poly, lvl: int) -> complex:
-            if lvl == 0:
-                acc = 0j
-                for c in reversed(p.coeffs):
-                    acc = acc * x_val + c.to_complex()
-                return acc
-            v = theta_vals[lvl - 1]
+    def eval_rep(self, rep: RatFunc, level: int, pt: list[complex]) -> complex:
+        """Value of a representation at `level` on a point from `point`."""
+        v, num_den = pt[level], []
+        for p in (rep.num, rep.den):
             acc = 0j
             for c in reversed(p.coeffs):
-                acc = acc * v + ev_rep(c, lvl - 1)
-            return acc
+                acc = acc * v + (self.eval_rep(c, level - 1, pt) if level else c.to_complex())
+            num_den.append(acc)
+        n, d = num_den
+        if d == 0:
+            raise ZeroDivisionError("evaluation hits a pole")
+        return n / d
 
-        def ev_rep(r: RatFunc, lvl: int) -> complex:
-            n = ev_poly(r.num, lvl)
-            d = ev_poly(r.den, lvl)
-            if d == 0:
-                raise ZeroDivisionError("evaluation hits a pole")
-            return n / d
-
-        return ev_rep(rep, level)
+    def eval_complex(self, f: TowerElem, x_val: complex) -> complex:
+        """Numeric evaluation with principal branches for the monomials."""
+        return self.eval_rep(f.rep, f.level, self.point(x_val))
 
     # -- rendering --------------------------------------------------------------
 

@@ -5,7 +5,8 @@ and a numeric-only check (`numeric_check`, which does not repeat the exact
 one) comparing adaptive-Simpson quadrature of the integrand against endpoint
 differences of the antiderivative, evaluated with principal branches.
 Root-sum terms are evaluated numerically from the roots of their residue
-polynomial.
+polynomial. Monomials are evaluated once per point (`Tower.point`): once
+per scan sample and once per endpoint, for every element evaluated there.
 """
 from __future__ import annotations
 
@@ -15,6 +16,11 @@ from dataclasses import dataclass
 from .algebra.roots import durand_kerner
 from .tower import Tower, TowerElem
 from .integrate import LiouvilleForm, form_derivative
+
+_PIECES = 4           # quadrature sub-intervals of the checked interval
+_SCAN_STEPS = 512     # the scan samples lo + (hi - lo) * k / _SCAN_STEPS
+_SIMPSON_TOL = 1e-9   # absolute tolerance of adaptive Simpson on one piece
+_SIMPSON_DEPTH = 24   # recursion limit of adaptive Simpson
 
 
 @dataclass(frozen=True)
@@ -29,7 +35,6 @@ class NumericSample:
 class VerificationReport:
     numeric_samples: tuple[NumericSample, ...]
     max_abs_error: float
-    assumptions: tuple[str, ...]
 
     @property
     def numeric_ok(self) -> bool:
@@ -54,27 +59,21 @@ def verify_derivative(t: Tower, result: LiouvilleForm, f: TowerElem) -> bool:
 
 
 def _eval_form(t: Tower, form: LiouvilleForm, x: float) -> complex:
-    val = t.eval_complex(form.r0, complex(x))
+    pt = t.point(complex(x))
+    val = t.eval_rep(form.r0.rep, form.r0.level, pt)
     for term in form.logs:
-        arg = t.eval_complex(term.arg, complex(x))
+        arg = t.eval_rep(term.arg.rep, term.arg.level, pt)
         val += term.coeff.to_complex() * cmath.log(arg)
     for rs in form.root_sums:
         roots = durand_kerner([c.to_complex() for c in rs.poly.coeffs])
+        coeffs = [t.eval_rep(rs.arg.coeff(k), rs.level, pt)
+                  for k in range(rs.arg.degree(), -1, -1)]
         for root in roots:
             arg = 0j
-            for k in range(rs.arg.degree(), -1, -1):
-                coeff = t._eval_complex_rep(rs.arg.coeff(k), rs.level, complex(x), _theta_values(t, complex(x)))
+            for coeff in coeffs:
                 arg = arg * root + coeff
             val += root * cmath.log(arg)
     return val
-
-
-def _theta_values(t: Tower, x: complex) -> list[complex]:
-    vals: list[complex] = []
-    for mono in t.monomials:
-        a = t._eval_complex_rep(mono.arg.rep, mono.arg.level, x, vals)
-        vals.append(cmath.log(a) if mono.kind == "log" else cmath.exp(a))
-    return vals
 
 
 def _base_level_polys(elem: TowerElem) -> list:
@@ -111,7 +110,7 @@ def _isolated_real_roots(p, lo: float, hi: float) -> list[float]:
 
 
 def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
-                        lo: float, hi: float, n: int = 512):
+                        lo: float, hi: float):
     """Reject intervals containing detected singularities: base-level
     denominator roots are isolated numerically; everything else (monomial
     arguments, higher-level denominators, branch cuts) is sampled."""
@@ -137,11 +136,13 @@ def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
             if hits:
                 raise SingularIntervalError(f"zero or pole of {label}", hits[0])
     prev_args: dict[int, complex] = {}
-    for k in range(n + 1):
-        x = lo + (hi - lo) * k / n
+    for k in range(_SCAN_STEPS + 1):
+        x = lo + (hi - lo) * k / _SCAN_STEPS
         for idx, (label, elem, is_log_arg) in enumerate(watch):
             try:
-                v = t.eval_complex(elem, complex(x))
+                if not idx:  # a failure computing the point is the integrand's
+                    pt = t.point(complex(x))
+                v = t.eval_rep(elem.rep, elem.level, pt)
             except ZeroDivisionError:
                 raise SingularIntervalError(f"pole of {label}", x)
             except (ValueError, OverflowError):  # log(0) or exp overflow inside
@@ -160,8 +161,7 @@ def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
                 raise SingularIntervalError(f"branch-cut crossing of {label}", x)
 
 
-def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-9,
-                      depth: int = 24) -> complex:
+def _adaptive_simpson(fun, a: float, b: float) -> complex:
     fa, fb = fun(a), fun(b)
     m = 0.5 * (a + b)
     fm = fun(m)
@@ -182,12 +182,11 @@ def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-9,
         )
 
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, depth)
+    return recurse(a, b, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
 
 
 def numeric_check(t: Tower, result: LiouvilleForm, f: TowerElem,
-                  interval: tuple[float, float],
-                  n_points: int = 4) -> VerificationReport:
+                  interval: tuple[float, float]) -> VerificationReport:
     """Numeric only: quadrature of f over sub-intervals against endpoint
     differences of the antiderivative; flags absolute errors of 1e-6 or
     more. The exact check is `verify_derivative`, which this does not run."""
@@ -201,16 +200,12 @@ def numeric_check(t: Tower, result: LiouvilleForm, f: TowerElem,
 
     samples = []
     max_err = 0.0
-    for k in range(n_points):
-        a = lo + (hi - lo) * k / n_points
-        b = lo + (hi - lo) * (k + 1) / n_points
+    for k in range(_PIECES):
+        a = lo + (hi - lo) * k / _PIECES
+        b = lo + (hi - lo) * (k + 1) / _PIECES
         quad = _adaptive_simpson(integrand, a, b)
         diff = _eval_form(t, result, b) - _eval_form(t, result, a)
         err = abs(quad - diff)
         max_err = max(max_err, err)
         samples.append(NumericSample((a, b), quad, diff, err))
-    return VerificationReport(
-        numeric_samples=tuple(samples),
-        max_abs_error=max_err,
-        assumptions=tuple(result.assumptions),
-    )
+    return VerificationReport(numeric_samples=tuple(samples), max_abs_error=max_err)

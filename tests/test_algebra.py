@@ -141,6 +141,31 @@ def test_gauss_sqrt():
     assert r is not None and r * r == sq
 
 
+def test_gauss_to_complex_matches_float_conversion():
+    # bit for bit, signed zeros included, and OverflowError where float()
+    # raises it; 1100 and 1500 bits overflow or underflow a double
+    rng = random.Random(15)
+    sizes = (8, 64, 600, 1100, 1500)
+
+    def frac():
+        top = 2 ** rng.choice(sizes)
+        return Fraction(rng.randint(-top, top), rng.randint(1, 2 ** rng.choice(sizes)))
+
+    seen = {"value": 0, "overflow": 0}
+    for _ in range(600):
+        z = GaussRat(frac(), frac())
+        try:
+            expected = complex(float(z.re), float(z.im))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                z.to_complex()
+            seen["overflow"] += 1
+            continue
+        assert repr(z.to_complex()) == repr(expected), z
+        seen["value"] += 1
+    assert seen["value"] > 100 and seen["overflow"] > 100
+
+
 # ------------------------------------------------------------------ poly ops
 
 
