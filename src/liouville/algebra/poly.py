@@ -156,13 +156,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def compose(self, other: "Poly") -> "Poly":
-        """self(other), by Horner over polynomials."""
-        acc = self._wrap([])
-        for c in reversed(self.coeffs):
-            acc = acc * other + Poly.const(self.field, c, self.var)
-        return acc
-
     def map_coeffs(self, fn, field=None, var=None) -> "Poly":
         return Poly(field or self.field, [fn(c) for c in self.coeffs], var or self.var)
 

@@ -53,11 +53,6 @@ class RatFunc:
     def is_poly(self) -> bool:
         return self.den.degree() == 0
 
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError("not a polynomial")
-        return self.num
-
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 

@@ -30,7 +30,9 @@ from .integrate import (
     ResidueNotConstant, RischOdeUnsolvable, LogDegreeObstruction,
     integrate,
 )
-from .verify import numeric_check, verify_derivative, SingularIntervalError
+from .verify import (
+    numeric_check, verify_derivative, SingularIntervalError, VerificationReport,
+)
 
 EXIT_ELEMENTARY = 0
 EXIT_NON_ELEMENTARY = 1
@@ -224,7 +226,9 @@ def result_json(t: Tower, res, report=None, symbolic_ok: bool = False) -> dict:
     if report is not None:
         out["verification"] = {
             "symbolic_ok": symbolic_ok,
+            "numeric": "passed" if report.conclusive else "inconclusive",
             "max_abs_error": report.max_abs_error,
+            "max_rel_error": report.max_rel_error,
             "samples": [
                 {
                     "interval": list(s.interval),
@@ -240,14 +244,19 @@ def result_json(t: Tower, res, report=None, symbolic_ok: bool = False) -> dict:
 
 
 def _numeric_report(t, res, f, interval):
-    candidates = [interval] if interval else _DEFAULT_INTERVALS
-    for cand in candidates:
+    """The first conclusive report over the candidate intervals, else the first
+    inconclusive one, else an empty one. A singular explicit interval raises."""
+    fallback = None
+    for cand in [interval] if interval else _DEFAULT_INTERVALS:
         try:
-            return numeric_check(t, res, f, cand)
+            report = numeric_check(t, res, f, cand)
+            if report.conclusive:
+                return report
+            fallback = fallback or report
         except (SingularIntervalError, OverflowError, ZeroDivisionError):
             if interval:
                 raise
-    return None
+    return fallback or VerificationReport()
 
 
 def run(config: RunConfig, out=None) -> int:
@@ -299,15 +308,14 @@ def run(config: RunConfig, out=None) -> int:
             else:
                 emit(f"interval error: {e}")
             return EXIT_UNSUPPORTED
-        if report is not None and not report.numeric_ok:
+        if report.conclusive and not report.numeric_ok:
             if config.json_output:
                 emit(json.dumps({"status": "verification_failure",
-                                 "max_abs_error": report.max_abs_error}))
+                                 "max_abs_error": report.max_abs_error,
+                                 "max_rel_error": report.max_rel_error}))
             else:
-                emit(
-                    "internal error: numeric check failed with max error "
-                    f"{report.max_abs_error:.3g}"
-                )
+                emit("internal error: numeric check failed with max relative "
+                     f"error {report.max_rel_error:.3g}")
             return EXIT_VERIFY_BUG
     if config.json_output:
         emit(json.dumps(result_json(t, res, report, symbolic_ok)))
@@ -315,6 +323,8 @@ def run(config: RunConfig, out=None) -> int:
         emit(render_text(t, res))
         for a in res.assumptions:
             emit(f"  assuming: {a}")
+        if report is not None and not report.conclusive:
+            emit("  numeric check inconclusive")
     return EXIT_ELEMENTARY
 
 

@@ -2,11 +2,12 @@
 
 Two separate layers: exact symbolic re-differentiation (`verify_derivative`)
 and a numeric-only check (`numeric_check`, which does not repeat the exact
-one) comparing adaptive-Simpson quadrature of the integrand against endpoint
-differences of the antiderivative, evaluated with principal branches.
-Root-sum terms are evaluated numerically from the roots of their residue
-polynomial. Monomials are evaluated once per point (`Tower.point`): once
-per scan sample and once per endpoint, for every element evaluated there.
+one). The singularity scan evaluates the integrand at 513 samples, and each
+piece's quadrature is Richardson-corrected composite Simpson on those values.
+It must match the endpoint difference of the antiderivative (principal
+branches; root sums from their residue polynomial's roots, found once per
+check) relative to max(1, integral of |f|); a Simpson error estimate above
+that tolerance makes the interval inconclusive, neither passed nor failed.
 """
 from __future__ import annotations
 
@@ -19,8 +20,7 @@ from .integrate import LiouvilleForm, form_derivative
 
 _PIECES = 4           # quadrature sub-intervals of the checked interval
 _SCAN_STEPS = 512     # the scan samples lo + (hi - lo) * k / _SCAN_STEPS
-_SIMPSON_TOL = 1e-9   # absolute tolerance of adaptive Simpson on one piece
-_SIMPSON_DEPTH = 24   # recursion limit of adaptive Simpson
+_TOL = 1e-6           # relative tolerance against max(1, integral of |f|)
 
 
 @dataclass(frozen=True)
@@ -29,16 +29,19 @@ class NumericSample:
     quadrature: complex
     endpoint_difference: complex
     abs_error: float
+    rel_error: float      # abs_error / max(1, integral of |f| on the piece)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    numeric_samples: tuple[NumericSample, ...]
-    max_abs_error: float
+    numeric_samples: tuple[NumericSample, ...] = ()  # empty: nothing checked
+    max_abs_error: float | None = None
+    max_rel_error: float | None = None
+    conclusive: bool = False
 
     @property
     def numeric_ok(self) -> bool:
-        return self.max_abs_error < 1e-6
+        return self.conclusive and self.max_rel_error < _TOL
 
 
 class SingularIntervalError(ValueError):
@@ -58,22 +61,28 @@ def verify_derivative(t: Tower, result: LiouvilleForm, f: TowerElem) -> bool:
 # ------------------------------------------------------------------ numerics
 
 
-def _eval_form(t: Tower, form: LiouvilleForm, x: float) -> complex:
-    pt = t.point(complex(x))
-    val = t.eval_rep(form.r0.rep, form.r0.level, pt)
-    for term in form.logs:
-        arg = t.eval_rep(term.arg.rep, term.arg.level, pt)
-        val += term.coeff.to_complex() * cmath.log(arg)
-    for rs in form.root_sums:
-        roots = durand_kerner([c.to_complex() for c in rs.poly.coeffs])
-        coeffs = [t.eval_rep(rs.arg.coeff(k), rs.level, pt)
-                  for k in range(rs.arg.degree(), -1, -1)]
-        for root in roots:
-            arg = 0j
-            for coeff in coeffs:
-                arg = arg * root + coeff
-            val += root * cmath.log(arg)
-    return val
+def _eval_form(t: Tower, form: LiouvilleForm, xs: list[float]) -> list[complex]:
+    """The form's values at the points xs; the roots of each residue
+    polynomial are found once."""
+    roots = [durand_kerner([c.to_complex() for c in rs.poly.coeffs])
+             for rs in form.root_sums]
+    out = []
+    for x in xs:
+        pt = t.point(complex(x))
+        val = t.eval_rep(form.r0.rep, form.r0.level, pt)
+        for term in form.logs:
+            arg = t.eval_rep(term.arg.rep, term.arg.level, pt)
+            val += term.coeff.to_complex() * cmath.log(arg)
+        for rs, rs_roots in zip(form.root_sums, roots):
+            coeffs = [t.eval_rep(rs.arg.coeff(k), rs.level, pt)
+                      for k in range(rs.arg.degree(), -1, -1)]
+            for root in rs_roots:
+                arg = 0j
+                for coeff in coeffs:
+                    arg = arg * root + coeff
+                val += root * cmath.log(arg)
+        out.append(val)
+    return out
 
 
 def _base_level_polys(elem: TowerElem) -> list:
@@ -110,10 +119,11 @@ def _isolated_real_roots(p, lo: float, hi: float) -> list[float]:
 
 
 def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
-                        lo: float, hi: float):
+                        lo: float, hi: float) -> list[complex]:
     """Reject intervals containing detected singularities: base-level
     denominator roots are isolated numerically; everything else (monomial
-    arguments, higher-level denominators, branch cuts) is sampled."""
+    arguments, higher-level denominators, branch cuts) is sampled. Returns
+    the integrand's values at the samples."""
     # (label, element, is_log_argument): poles are singular for everything;
     # zeros and branch-cut crossings matter only for log arguments
     watch: list[tuple[str, TowerElem, bool]] = [
@@ -136,6 +146,7 @@ def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
             if hits:
                 raise SingularIntervalError(f"zero or pole of {label}", hits[0])
     prev_args: dict[int, complex] = {}
+    values = []
     for k in range(_SCAN_STEPS + 1):
         x = lo + (hi - lo) * k / _SCAN_STEPS
         for idx, (label, elem, is_log_arg) in enumerate(watch):
@@ -147,6 +158,8 @@ def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
                 raise SingularIntervalError(f"pole of {label}", x)
             except (ValueError, OverflowError):  # log(0) or exp overflow inside
                 raise SingularIntervalError(f"singular subterm of {label}", x)
+            if not idx:
+                values.append(v)
             if not is_log_arg:
                 continue
             if abs(v) < 1e-9:
@@ -159,53 +172,37 @@ def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
                 raise SingularIntervalError(f"zero crossing of {label}", x)
             if v.real < 0 and prev.real < 0 and (v.imag < 0) != (prev.imag < 0):
                 raise SingularIntervalError(f"branch-cut crossing of {label}", x)
+    return values
 
 
-def _adaptive_simpson(fun, a: float, b: float) -> complex:
-    fa, fb = fun(a), fun(b)
-    m = 0.5 * (a + b)
-    fm = fun(m)
-
-    def simpson(l, r, fl, fm_, fr):
-        return (r - l) / 6.0 * (fl + 4.0 * fm_ + fr)
-
-    def recurse(l, r, fl, fm_, fr, whole, eps, d):
-        mid = 0.5 * (l + r)
-        lm, rm = 0.5 * (l + mid), 0.5 * (mid + r)
-        flm, frm = fun(lm), fun(rm)
-        left = simpson(l, mid, fl, flm, fm_)
-        right = simpson(mid, r, fm_, frm, fr)
-        if d <= 0 or abs(left + right - whole) < 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(l, mid, fl, flm, fm_, left, eps / 2.0, d - 1) + recurse(
-            mid, r, fm_, frm, fr, right, eps / 2.0, d - 1
-        )
-
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, _SIMPSON_TOL, _SIMPSON_DEPTH)
+def _simpson(ys: list[complex], h: float) -> complex:
+    """Composite Simpson on values at spacing h over an even number of cells."""
+    return h / 3.0 * (ys[0] + ys[-1] + 4.0 * sum(ys[1:-1:2]) + 2.0 * sum(ys[2:-1:2]))
 
 
 def numeric_check(t: Tower, result: LiouvilleForm, f: TowerElem,
                   interval: tuple[float, float]) -> VerificationReport:
-    """Numeric only: quadrature of f over sub-intervals against endpoint
-    differences of the antiderivative; flags absolute errors of 1e-6 or
-    more. The exact check is `verify_derivative`, which this does not run."""
+    """Numeric only: on each of `_PIECES` pieces, quadrature of f from the
+    scan's samples against the endpoint difference of the antiderivative.
+    A piece passes when they agree to `_TOL` relative to max(1, integral of
+    |f|); it is inconclusive when Simpson's error estimate exceeds that. The
+    exact check is `verify_derivative`, which this does not run."""
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
-    _scan_singularities(t, result, f, lo, hi)
-
-    def integrand(x: float) -> complex:
-        return t.eval_complex(f, complex(x))
-
-    samples = []
-    max_err = 0.0
+    values = _scan_singularities(t, result, f, lo, hi)
+    cells, h = _SCAN_STEPS // _PIECES, (hi - lo) / _SCAN_STEPS
+    bounds = [lo + (hi - lo) * k / _PIECES for k in range(_PIECES + 1)]
+    forms = _eval_form(t, result, bounds)
+    samples, conclusive = [], True
     for k in range(_PIECES):
-        a = lo + (hi - lo) * k / _PIECES
-        b = lo + (hi - lo) * (k + 1) / _PIECES
-        quad = _adaptive_simpson(integrand, a, b)
-        diff = _eval_form(t, result, b) - _eval_form(t, result, a)
+        ys = values[k * cells:(k + 1) * cells + 1]
+        fine, coarse = _simpson(ys, h), _simpson(ys[::2], 2.0 * h)
+        quad = fine + (fine - coarse) / 15.0
+        scale = max(1.0, _simpson([abs(y) for y in ys], h))
+        conclusive = conclusive and abs(fine - coarse) / 15.0 <= _TOL * scale
+        diff = forms[k + 1] - forms[k]
         err = abs(quad - diff)
-        max_err = max(max_err, err)
-        samples.append(NumericSample((a, b), quad, diff, err))
-    return VerificationReport(numeric_samples=tuple(samples), max_abs_error=max_err)
+        samples.append(NumericSample((bounds[k], bounds[k + 1]), quad, diff, err, err / scale))
+    return VerificationReport(tuple(samples), max(s.abs_error for s in samples),
+                              max(s.rel_error for s in samples), conclusive)

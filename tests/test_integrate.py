@@ -607,10 +607,11 @@ def test_log_part_derivative_is_remainder_on_corpus(monkeypatch):
     assert _check_log_part_theorem(monkeypatch, integrands) == 6
 
 
-def test_log_part_derivative_is_remainder_on_rational_shapes(monkeypatch):
-    """Seeded rational shapes: Hermite reduction under repeated factors,
-    root sums over Eisenstein denominators (irreducible at the prime 3) and
-    a squared sparse sextic, where Hermite and a root sum meet."""
+def rational_shapes():
+    """Seeded rational shapes as (tower, integrand): Hermite reduction under
+    repeated factors, root sums over Eisenstein denominators (irreducible at
+    the prime 3) and a squared sparse sextic, where Hermite and a root sum
+    meet."""
     rng = random.Random(79)
     t = Tower("x")
     x = t.x()
@@ -625,9 +626,14 @@ def test_log_part_derivative_is_remainder_on_rational_shapes(monkeypatch):
             eis = eis + x ** k * (3 * rng.randint(-1, 1))
         dens.append(eis)
     dens.append((x ** 6 + x ** 3 + 2) ** 2)
-    integrands = [(t, (x * x + x * rng.randint(-3, 3) + rng.randint(-3, 3)) / den)
-                  for den in dens]
-    assert _check_log_part_theorem(monkeypatch, integrands) == len(dens)
+    return [(t, (x * x + x * rng.randint(-3, 3) + rng.randint(-3, 3)) / den)
+            for den in dens]
+
+
+def test_log_part_derivative_is_remainder_on_rational_shapes(monkeypatch):
+    integrands = rational_shapes()
+    assert len(integrands) == 8
+    assert _check_log_part_theorem(monkeypatch, integrands) == len(integrands)
 
 
 # -------------------------------------------------------------------- combine
