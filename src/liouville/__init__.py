@@ -15,9 +15,6 @@ from .tower import (
     build_tower,
     convert_expr,
     check_monomial,
-    derive,
-    is_zero,
-    constant_part,
 )
 from .integrate import (
     LiouvilleForm,
@@ -59,9 +56,6 @@ __all__ = [
     "build_tower",
     "convert_expr",
     "check_monomial",
-    "derive",
-    "is_zero",
-    "constant_part",
     "LiouvilleForm",
     "LogTerm",
     "RootSumTerm",

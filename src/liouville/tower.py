@@ -8,6 +8,12 @@ zero test is syntactic. The derivation extends d/dx by t' = arg'/arg for
 logs and t' = arg'. t for exponentials; monomials with constant argument
 have derivative zero and act as formal constants.
 
+Constancy is decided from the structure, not by differentiating
+(`Tower.is_formal_constant`): an element whose minimal level has a monomial
+of nonzero derivative is never constant. This is sound because every
+monomial is adjoined under the assumption that it brings in no new
+constants, so the constants of K(t) are those of K.
+
 New monomials are screened for algebraic dependence on the existing tower
 by solving for a rational linear relation between derivatives (exact
 arithmetic over sampled rational points, then exact verification). Forced
@@ -154,7 +160,8 @@ class TowerElem:
 
     def is_constant(self) -> bool:
         """Constant as a plain Gaussian rational (minimal level 0 and free
-        of x). Formal constants of positive level are not reported here."""
+        of x). Formal constants of positive level are not reported here;
+        `Tower.is_formal_constant` decides those."""
         return self.level == 0 and self.rep.is_const()
 
     def const_value(self) -> GaussRat:
@@ -274,6 +281,21 @@ class Tower:
             out = out + Poly(below, scaled, p.var)
         return out
 
+    def is_formal_constant(self, f: TowerElem) -> bool:
+        """D(f) = 0, read off the structure. At a level whose monomial has
+        nonzero derivative, f is not constant (no new constants). At a level
+        with constant monomial, D acts on coefficients, so by uniqueness of
+        the reduced form with monic denominator f is constant exactly when
+        every coefficient of its numerator and denominator is."""
+        if f.level == 0:
+            return f.rep.is_const()
+        if not self._dlog[f.level - 1].is_zero():
+            return False
+        return all(
+            self.is_formal_constant(TowerElem(self, f.level - 1, c))
+            for p in (f.rep.num, f.rep.den) for c in p.coeffs
+        )
+
     def monomial_dlog(self, level: int) -> TowerElem:
         """For a log monomial, D(theta) = D(arg)/arg; for an exp monomial,
         D(arg), so that D(theta) = D(arg) * theta. Both live below `level`."""
@@ -373,26 +395,6 @@ class Tower:
         return [m.assumption for m in self.monomials if m.assumption]
 
 
-# ----------------------------------------------------------- zero / constants
-
-
-def is_zero(t: Tower, f: TowerElem) -> bool:
-    """Sound and complete zero test under the tower validity assumption."""
-    return f.is_zero()
-
-
-def constant_part(t: Tower, f: TowerElem):
-    """The Gaussian-rational value of f when derive(f) = 0 and f reduces to
-    the base constants; None otherwise."""
-    if f.is_constant():
-        return f.const_value()
-    return None
-
-
-def derive(t: Tower, f: TowerElem) -> TowerElem:
-    return t.derive(f)
-
-
 # ------------------------------------------------------- dependence screening
 
 
@@ -462,10 +464,10 @@ def check_monomial(t: Tower, m: Monomial):
     """Valid (with the recorded independence assumption) or Dependent with
     the witness relation."""
     upto = m.level - 1 if m.level <= t.height else t.height
+    if t.is_formal_constant(m.arg):
+        return Valid("constant argument: treated as a formal constant")
     d_arg = t.derive(m.arg)
     target = d_arg / m.arg if m.kind == "log" else d_arg
-    if target.is_zero():
-        return Valid("constant argument: treated as a formal constant")
     basis, labels = _dependence_basis(t, upto)
     sol = _relation_solve(t, basis, target)
     if sol is None:
@@ -545,7 +547,7 @@ def _log_of_constant(t: Tower, delta: TowerElem) -> TowerElem:
         if den.degree() == 0 and len([c for c in num.coeffs if not c.is_zero()]) == 1:
             k = num.degree()
             lead = TowerElem(t, lvl - 1, num.coeff(k) / den.coeff(0))
-            if t.derive(lead).is_zero():
+            if t.is_formal_constant(lead):
                 return mono.arg * k + _log_of_constant(t, lead)
     for m in t.monomials:
         if m.kind == "log" and t._dlog[m.level - 1].is_zero() and m.arg == delta:
@@ -563,9 +565,9 @@ def _make_exp(t: Tower, b: TowerElem) -> TowerElem:
                 return t.theta(mono.level)
         t._append_monomial("exp", b, "")
         return t.theta(t.height)
-    db = t.derive(b)
-    if db.is_zero():
+    if t.is_formal_constant(b):
         return _exp_of_constant(t, b)
+    db = t.derive(b)
     for mono in t.monomials:
         if mono.kind == "exp" and mono.arg == b:
             return t.theta(mono.level)
@@ -597,7 +599,8 @@ def _make_exp(t: Tower, b: TowerElem) -> TowerElem:
             combo = combo + t.theta(mono.level) * k
             product = product * mono.arg ** k
     delta = b - combo
-    assert t.derive(delta).is_zero()
+    if not t.is_formal_constant(delta):  # an explicit raise fires under -O too
+        raise ArithmeticError(f"exp relation leaves a non-constant remainder {delta}")
     return product * _exp_of_constant(t, delta)
 
 
@@ -612,10 +615,9 @@ def _make_log(t: Tower, a: TowerElem) -> TowerElem:
                 return t.theta(mono.level)
         t._append_monomial("log", a, "")
         return t.theta(t.height)
-    da = t.derive(a)
-    dlog_a = da / a
-    if dlog_a.is_zero():
+    if t.is_formal_constant(a):
         return _log_of_constant(t, a)
+    dlog_a = t.derive(a) / a
     for mono in t.monomials:
         if mono.kind == "log" and mono.arg == a:
             return t.theta(mono.level)
@@ -646,7 +648,8 @@ def _make_log(t: Tower, a: TowerElem) -> TowerElem:
             combo = combo + mono.arg * k
             product = product * t.theta(mono.level) ** k
     delta = a / product
-    assert t.derive(delta).is_zero()
+    if not t.is_formal_constant(delta):  # an explicit raise fires under -O too
+        raise ArithmeticError(f"log relation leaves a non-constant remainder {delta}")
     return combo + _log_of_constant(t, delta)
 
 

@@ -6,8 +6,11 @@ antiderivative) or computed with the independent brute-force / residue
 oracles in this file, then frozen.
 """
 import importlib
+import io
+import json
 import os
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from liouville.algebra.extension import AlgExtField, power_sums
 from liouville.algebra.gaussian import GaussRat, QI
 from liouville.algebra.poly import Poly, squarefree_decompose
+from liouville.cli import RunConfig, run as cli_run
 from liouville.syntax import parse
 from liouville.tower import Tower, TowerElem, build_tower
 from liouville.integrate import (
@@ -700,3 +704,59 @@ def test_certificate_stability_plus_one():
         r1 = integrate(t, f)
         r2 = integrate(t, f + 1)
         assert isinstance(r1, NonElementary) and isinstance(r2, NonElementary)
+
+
+# ------------------------------------------------------- structural constancy
+
+# D((x^2 + 2)/((log(b) + log(x))*log(x))) as the tower benchmark writes it:
+# the constant log(b) sits below log(x), so every field above it is nested
+# over Q(log b), and differentiating the integrand to test its constancy ran
+# nested-field gcds for tens of seconds
+LOG_PRODUCT = {
+    b: (
+        f"(2*x*((log({b}) + log(x))*log(x)) - (x^2 + 2)*(1/x*log(x) + "
+        f"(log({b}) + log(x))*(1/x)))/((log({b}) + log(x))*log(x))^2",
+        f"(x^2 + 2)/(log(x)^2 + log({b})*log(x))",
+    )
+    for b in (2, 3)
+}
+
+
+class _Budget(BaseException):
+    pass
+
+
+def _raise_budget(signum, frame):
+    raise _Budget()
+
+
+@pytest.mark.parametrize("b", sorted(LOG_PRODUCT))
+def test_log_product_ends_fast(b):
+    text, r0 = LOG_PRODUCT[b]
+    out = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_budget)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 10.0)
+        code = cli_run(RunConfig(integrand=text, json_output=True), out=out)
+    except _Budget:
+        pytest.fail(f"log_product input with log({b}) ran past 10 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert json.loads(out.getvalue())["r0"] == r0
+
+
+def test_constancy_does_not_differentiate_the_integrand(monkeypatch):
+    t, f = build(LOG_PRODUCT[2][0])
+    real_derive = Tower.derive
+
+    def recording(self, g):
+        if g == f:
+            raise AssertionError("the integrand was differentiated")
+        return real_derive(self, g)
+
+    monkeypatch.setattr(Tower, "derive", recording)
+    res = integrate(t, f)
+    monkeypatch.undo()
+    assert_verified(t, f, res)

@@ -1,15 +1,20 @@
 """Tower construction, the derivation, dependence screening, zero testing."""
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import liouville
 from liouville.algebra.gaussian import GaussRat
 from liouville.errors import UnsupportedError, DependentMonomialError
 from liouville.syntax import parse
 from liouville.tower import (
     Tower, Monomial, TowerElem, Valid, Dependent,
-    build_tower, check_monomial, constant_part, is_zero,
+    build_tower, check_monomial,
 )
 
 
@@ -154,7 +159,7 @@ def test_monomial_derivative_laws():
 
 def test_is_zero_examples():
     t, f = build("exp(x)*exp(-x) - 1")
-    assert f.is_zero() and is_zero(t, f)
+    assert f.is_zero()
 
     t, f = build("log(x) - x")
     assert not f.is_zero()
@@ -167,11 +172,64 @@ def test_is_zero_examples():
 
 def test_constant_part():
     t, f = build("3/2")
-    assert constant_part(t, f) == GaussRat(Fraction(3, 2))
+    assert f.is_constant() and f.const_value() == GaussRat(Fraction(3, 2))
     t, f = build("log(x)")
-    assert constant_part(t, f) is None
+    assert not f.is_constant() and not t.is_formal_constant(f)
     t, f = build("exp(x)*exp(-x)")
-    assert constant_part(t, f) == GaussRat(1)
+    assert f.is_constant() and f.const_value() == GaussRat(1)
+    # a formal constant of positive level has no Gaussian-rational value
+    t, f = build("log(2)*exp(1)")
+    assert t.is_formal_constant(f) and not f.is_constant()
+
+
+# towers with constant monomials both below and above x-dependent ones
+_MIXED_TOWERS = (
+    "log(2) + log(x) + log(3)",
+    "exp(1) + exp(x) + log(2)",
+    "log(3) + log(x + 1) + exp(1)",
+    "exp(1) + log(log(x))",
+    "log(log(x)) + exp(x) + log(2)",
+)
+
+
+def _rand_mixed(t, rng, gens):
+    """A random rational expression in the generators with small Gaussian
+    rational coefficients."""
+    def term():
+        c = t.const(GaussRat(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-1, 1))))
+        return c * rng.choice(gens) ** rng.randint(0, 2)
+
+    e = term()
+    for _ in range(rng.randint(1, 2)):
+        op = rng.choice("+*/")
+        u = term() + rng.choice(gens)
+        if op == "+":
+            e = e + u
+        elif op == "*":
+            e = e * u
+        elif not u.is_zero():
+            e = e / u
+    return e
+
+
+def test_formal_constant_agrees_with_derivative():
+    """The structural constancy test against the reference D(f) = 0."""
+    rng = random.Random(2323)
+    cases = constants = 0
+    for text in _MIXED_TOWERS:
+        t, _ = build(text)
+        levels = [m.level for m in t.monomials]
+        const_levels = [lv for lv in levels if t.monomial_dlog(lv).is_zero()]
+        assert const_levels and len(const_levels) < len(levels)
+        const_gens = [t.theta(lv) for lv in const_levels]
+        all_gens = [t.x()] + [t.theta(lv) for lv in levels]
+        for k in range(48):
+            g = _rand_mixed(t, rng, const_gens if k % 2 else all_gens)
+            expected = t.derive(g).is_zero()
+            assert t.is_formal_constant(g) == expected, (text, str(g))
+            cases += 1
+            constants += expected
+    assert cases >= 200 and 3 * constants >= cases
 
 
 def test_is_zero_agrees_with_numeric():
@@ -293,3 +351,33 @@ def test_to_expr_round_trip():
     assert t2.dump_json() == t.dump_json()
     for xv in (0.7, 1.3, 2.9):
         assert abs(t.eval_complex(f, xv) - t2.eval_complex(f2, xv)) < 1e-9
+
+
+_WRONG_RELATION = """
+import sys
+from fractions import Fraction
+import liouville.tower as tower
+from liouville.cli import main
+from liouville.syntax import parse
+
+# every new exponential claimed to be the sum of the ones before it
+tower._relation_solve = lambda t, basis, target: [Fraction(1)] * len(basis) or None
+try:
+    tower.build_tower(parse("exp(x) + exp(x^2)"))
+except ArithmeticError:
+    print("raised")
+sys.exit(main(["exp(x) + exp(x^2)"]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wrong_relation_raises_under_optimize(flags):
+    """The relation check is an explicit raise, not an assert, so it fires
+    under python -O too, and the CLI maps it to exit 3."""
+    src = str(Path(liouville.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, *flags, "-c", _WRONG_RELATION],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout.strip() == "raised", proc.stderr
+    assert proc.returncode == 3
+    assert "internal error: ArithmeticError" in proc.stderr
