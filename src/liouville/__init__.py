@@ -10,11 +10,8 @@ from .tower import (
     Tower,
     TowerElem,
     Monomial,
-    Valid,
-    Dependent,
     build_tower,
     convert_expr,
-    check_monomial,
 )
 from .integrate import (
     LiouvilleForm,
@@ -51,11 +48,8 @@ __all__ = [
     "Tower",
     "TowerElem",
     "Monomial",
-    "Valid",
-    "Dependent",
     "build_tower",
     "convert_expr",
-    "check_monomial",
     "LiouvilleForm",
     "LogTerm",
     "RootSumTerm",

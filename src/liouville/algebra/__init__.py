@@ -17,7 +17,7 @@ from .poly import (
 )
 from .ratfunc import RatFunc, FracField
 from .extension import AlgExtField, AlgElem, SplitsModulus, power_sums
-from .linear import linear_solve, det
+from .linear import linear_solve
 from .roots import gauss_rational_roots, gauss_sqrt, sqrt_fraction, durand_kerner
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "SplitsModulus",
     "power_sums",
     "linear_solve",
-    "det",
     "gauss_rational_roots",
     "gauss_sqrt",
     "sqrt_fraction",

@@ -38,29 +38,3 @@ def linear_solve(rows: list[list], rhs: list, field):
         x[c] = aug[idx][n]
     return x
 
-
-def det(rows: list[list], field):
-    """Determinant by fraction-full elimination; exact over a field."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    out = field.one()
-    for c in range(n):
-        pivot = None
-        for k in range(c, n):
-            if not a[k][c].is_zero():
-                pivot = k
-                break
-        if pivot is None:
-            return field.zero()
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            out = -out
-        pv = a[c][c]
-        out = out * pv
-        inv_rowc = [v / pv for v in a[c]]
-        for k in range(c + 1, n):
-            f = a[k][c]
-            if f.is_zero():
-                continue
-            a[k] = [v - f * w for v, w in zip(a[k], inv_rowc)]
-    return out

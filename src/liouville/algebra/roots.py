@@ -125,7 +125,8 @@ def gauss_rational_roots(s: Poly) -> tuple[list[GaussRat], Poly]:
                 roots.append(found)
                 lin = Poly(s.field, [-found, s.field.one()], s.var)
                 q, r = poly_divmod(s, lin)
-                assert r.is_zero()
+                if not r.is_zero():
+                    raise ArithmeticError(f"rational root {found} leaves remainder {r}")
                 s = q
                 progressed = True
                 break

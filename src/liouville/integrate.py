@@ -632,7 +632,8 @@ def _solve_rde_level(t: Tower, w: TowerElem, g: TowerElem, level: int,
         if Y is None:
             return None
         y = _elem(t, 0, Y, E)
-        assert (t.derive(y) + w * y - g).is_zero()
+        if not (t.derive(y) + w * y - g).is_zero():
+            raise ArithmeticError(f"base-level Risch ODE solution {y} does not solve it")
         return y
     mono = t.monomial_at(level)
     w_rep = t.lift_rep(w.rep, w.level, level)
@@ -692,7 +693,8 @@ def _solve_rde_level(t: Tower, w: TowerElem, g: TowerElem, level: int,
                 trace.add(f"coefficient of power {j} unsolvable one level down")
                 return None
             y = y + yj * theta ** j
-        assert (t.derive(y) + w * y - g).is_zero()
+        if not (t.derive(y) + w * y - g).is_zero():
+            raise ArithmeticError(f"Risch ODE solution {y} at level {level} does not solve it")
         return y
     dtheta = t.monomial_dlog(level)
     trace.add("degree bound in the log monomial taken from the right-hand side")
@@ -776,9 +778,11 @@ def integrate_polypart_log(t: Tower, p: Poly, level: int):
         r0 = r0 + q_piece
         dq = t.derive(q_piece)
         dq_rep = t.lift_rep(dq.rep, dq.level, level)
-        assert dq_rep.den.degree() == 0
+        if dq_rep.den.degree() != 0:
+            raise ArithmeticError("derivative of a log-polynomial piece is not polynomial")
         p_cur = p_cur - dq_rep.num.scale_div(dq_rep.den.coeff(0))
-        assert p_cur.degree() < m
+        if p_cur.degree() >= m:
+            raise ArithmeticError(f"log-polynomial recursion did not lower degree {m}")
     c0 = TowerElem(t, level - 1, p_cur.coeff(0))
     sub = _integrate(t, c0)
     if _is_cert(sub):
@@ -881,7 +885,8 @@ def _integrate(t: Tower, f: TowerElem):
             theta_k = Poly(below, [below.zero()] * k + [below.one()], den.var)
             s, t2 = solve_diophantine(theta_k, d1, rem_num)
             # rem/(theta^k d1) = s/d1 + t2/theta^k with deg t2 < k
-            assert t2.degree() < k
+            if t2.degree() >= k:
+                raise ArithmeticError(f"Laurent part has degree {t2.degree()}, not below {k}")
             for j, c in enumerate(t2.coeffs):
                 if not c.is_zero():
                     laurent[j - k] = TowerElem(t, level - 1, c)
@@ -904,7 +909,8 @@ def _integrate(t: Tower, f: TowerElem):
     # exponential monomial
     mismatch = remainder - _logs_dlog(t, logs, rsums)
     if not mismatch.is_zero():
-        assert mismatch.level < level, "log-part mismatch must be theta-free"
+        if mismatch.level >= level:
+            raise ArithmeticError("log-part mismatch must be theta-free")
         laurent[0] = laurent.get(0, t.zero()) + mismatch
     for j, c in enumerate(pp.coeffs):
         if j > 0 and not c.is_zero():

@@ -15,10 +15,13 @@ monomial is adjoined under the assumption that it brings in no new
 constants, so the constants of K(t) are those of K.
 
 New monomials are screened for algebraic dependence on the existing tower
-by solving for a rational linear relation between derivatives (exact
-arithmetic over sampled rational points, then exact verification). Forced
-relations such as exp(log a) = a and log(x^2) = 2 log x are simplified
-away; anything residual raises a structured error carrying the witness.
+(Risch structure theorem): a new exp(b) or log(a) is transcendental exactly
+when D(b), resp. D(a)/a, is no Q-linear combination of the D(b_i) and
+D(a_j)/a_j already in the tower. That relation is decided exactly, as one
+linear system over Q read off the coefficients of the cleared numerators, so
+"no relation" is a proof. Forced relations such as exp(log a) = a and
+log(x^2) = 2 log x are simplified away; a relation with a fractional
+coefficient raises a structured error carrying the witness.
 
 Numeric evaluation: `Tower.point(x)` is [x, t1(x), ..., th(x)] with
 principal branches, and `Tower.eval_rep` evaluates any element on it.
@@ -26,7 +29,6 @@ principal branches, and `Tower.eval_rep` evaluates any element on it.
 from __future__ import annotations
 
 import cmath
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,16 +44,6 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Valid:
-    assumption: str
-
-
-@dataclass(frozen=True)
-class Dependent:
-    relation: str
-
-
 @dataclass
 class Monomial:
     kind: str          # "log" | "exp"
@@ -59,9 +51,6 @@ class Monomial:
     level: int         # 1-based position in the tower
     name: str
     assumption: str = ""
-
-    def is_constant_arg(self) -> bool:
-        return self.arg.is_constant()
 
 
 class TowerElem:
@@ -303,28 +292,6 @@ class Tower:
 
     # -- evaluation -----------------------------------------------------------
 
-    def eval_exact(self, f: TowerElem, x_val: GaussRat,
-                   theta_vals: list[GaussRat]) -> GaussRat:
-        """Evaluate at exact coordinates, treating monomials as free values."""
-
-        def ev_poly(p: Poly, level: int) -> GaussRat:
-            if level == 0:
-                return p.eval(x_val)
-            v = theta_vals[level - 1]
-            acc = GaussRat(0)
-            for c in reversed(p.coeffs):
-                acc = acc * v + ev_rep(c, level - 1)
-            return acc
-
-        def ev_rep(rep: RatFunc, level: int) -> GaussRat:
-            n = ev_poly(rep.num, level)
-            d = ev_poly(rep.den, level)
-            if d.is_zero():
-                raise ZeroDivisionError("sample point hits a pole")
-            return n / d
-
-        return ev_rep(f.rep, f.level)
-
     def point(self, x: complex) -> list[complex]:
         """[x, t1(x), ..., th(x)]: every monomial evaluated once, with
         principal branches, in tower order."""
@@ -398,101 +365,65 @@ class Tower:
 # ------------------------------------------------------- dependence screening
 
 
-def _sample_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-40, 40), rng.randint(1, 7))
-
-
 def _relation_solve(t: Tower, basis: list[TowerElem],
                     target: TowerElem) -> list[Fraction] | None:
-    """Rational coefficients q with target = sum q_k basis_k, or None.
+    """Rational q with target = sum q_k basis_k exactly, or None.
 
-    Exact evaluation at random rational sample points produces a linear
-    system over Q(i); a candidate solution is then verified exactly, so a
-    returned relation is always sound.
+    Lifted to one level with the denominators cleared there, the relation is
+    a polynomial identity. Read down to Q(i), each of its coefficients gives
+    one equation over Q from its real part and one from its imaginary part.
+    The system is exact, so None proves that no rational relation exists.
     """
     if target.is_zero():
         return [Fraction(0)] * len(basis)
     if not basis:
         return None
-    rng = random.Random(0xD1CE + 31 * len(basis) + t.height)
-    rows, rhs = [], []
-    attempts = 0
-    needed = len(basis) + 4
-    while len(rows) < needed and attempts < 200:
-        attempts += 1
-        x_val = GaussRat(_sample_fraction(rng))
-        thetas = [GaussRat(_sample_fraction(rng)) for _ in range(t.height)]
-        try:
-            row = [t.eval_exact(w, x_val, thetas) for w in basis]
-            b = t.eval_exact(target, x_val, thetas)
-        except ZeroDivisionError:
+    elems = basis + [target]
+    level = max(w.level for w in elems)
+    rows: list[list[GaussRat]] = []
+    _coefficient_rows([t.lift_rep(w.rep, w.level, level) for w in elems], level, rows)
+    sol = linear_solve([r[:-1] for r in rows], [r[-1] for r in rows], QI)
+    return None if sol is None else [q.re for q in sol]
+
+
+def _coefficient_rows(reps: list[RatFunc], level: int, rows: list) -> None:
+    """Append to `rows` the equations over Q, as real GaussRats, equivalent to
+    sum q_k reps_k = reps_-1 for rational q."""
+    dens = []
+    for r in reps:
+        if r.den.degree() > 0 and r.den not in dens:
+            dens.append(r.den)
+    nums = []
+    for r in reps:
+        p = r.num
+        for d in dens:
+            if d != r.den:
+                p = p * d
+        nums.append(p)
+    for j in range(max(p.degree() for p in nums) + 1):
+        coeffs = [p.coeff(j) for p in nums]
+        if level > 0:
+            _coefficient_rows(coeffs, level - 1, rows)
             continue
-        rows.append(row)
-        rhs.append(b)
-    if len(rows) < needed:
-        return None
-    sol = linear_solve(rows, rhs, QI)
-    if sol is None:
-        return None
-    if any(not q.is_rational() for q in sol):
-        return None
-    # exact verification of the candidate
-    acc = t.zero()
-    for q, w in zip(sol, basis):
-        acc = acc + t.const(GaussRat(q.re)) * w
-    if not (target - acc).is_zero():
-        return None
-    return [q.re for q in sol]
+        for part in ("re", "im"):
+            row = [GaussRat(getattr(c, part)) for c in coeffs]
+            if any(row):
+                rows.append(row)
 
 
-def _dependence_basis(t: Tower, upto_level: int):
+def _dependence_basis(t: Tower):
     """Derivative basis for relation screening: D(b_i) for exponentials and
     D(a_j)/a_j for logarithms, skipping constant-argument monomials."""
-    basis, labels = [], []
-    for mono in t.monomials:
-        if mono.level > upto_level:
-            break
-        d = t._dlog[mono.level - 1]
-        if d.is_zero():
-            continue
-        basis.append(d)
-        labels.append(mono)
-    return basis, labels
+    labels = [m for m in t.monomials if not t._dlog[m.level - 1].is_zero()]
+    return [t._dlog[m.level - 1] for m in labels], labels
 
 
-def check_monomial(t: Tower, m: Monomial):
-    """Valid (with the recorded independence assumption) or Dependent with
-    the witness relation."""
-    upto = m.level - 1 if m.level <= t.height else t.height
-    if t.is_formal_constant(m.arg):
-        return Valid("constant argument: treated as a formal constant")
-    d_arg = t.derive(m.arg)
-    target = d_arg / m.arg if m.kind == "log" else d_arg
-    basis, labels = _dependence_basis(t, upto)
-    sol = _relation_solve(t, basis, target)
-    if sol is None:
-        kind_word = "log" if m.kind == "log" else "exp"
-        return Valid(
-            f"{kind_word}({pretty_print(t.to_expr(m.arg))}) assumed "
-            "transcendental over the tower below"
-        )
-    terms = []
-    for q, mono in zip(sol, labels):
-        if q == 0:
-            continue
-        dlog_txt = (
-            f"dlog({pretty_print(t.to_expr(mono.arg))})"
-            if mono.kind == "log"
-            else f"D({pretty_print(t.to_expr(mono.arg))})"
-        )
-        terms.append(f"{q}*{dlog_txt}")
-    lhs = (
-        f"dlog({pretty_print(t.to_expr(m.arg))})"
-        if m.kind == "log"
-        else f"D({pretty_print(t.to_expr(m.arg))})"
-    )
-    rhs = " + ".join(terms) if terms else "0"
-    return Dependent(f"{lhs} = {rhs}")
+def _existing(t: Tower, kind: str, arg: TowerElem) -> TowerElem | None:
+    """The monomial kind(arg) if the tower already has it."""
+    for m in t.monomials:
+        if m.kind == kind and m.arg == arg:
+            return t.theta(m.level)
+    return None
 
 
 # ------------------------------------------------------------- tower building
@@ -504,13 +435,12 @@ def _exp_of_constant(t: Tower, delta: TowerElem) -> TowerElem:
     formal constant)."""
     if delta.is_zero():
         return t.one()
-    if delta.is_constant():
-        return _make_exp(t, delta)
     lvl = delta.level
-    mono = t.monomial_at(lvl)
+    mono = t.monomial_at(lvl) if lvl else None
     rep = delta.rep
     if (
-        mono.kind == "log"
+        mono is not None
+        and mono.kind == "log"
         and t._dlog[lvl - 1].is_zero()
         and rep.den.degree() == 0
         and rep.num.degree() == 1
@@ -522,11 +452,8 @@ def _exp_of_constant(t: Tower, delta: TowerElem) -> TowerElem:
             if k.is_integer():
                 base = mono.arg ** int(k.re)
                 return base * _exp_of_constant(t, rest)
-    for m in t.monomials:
-        if m.kind == "exp" and t._dlog[m.level - 1].is_zero() and m.arg == delta:
-            return t.theta(m.level)
-    t._append_monomial("exp", delta, "")
-    return t.theta(t.height)
+    found = _existing(t, "exp", delta)
+    return found if found is not None else t._append_monomial("exp", delta, "")
 
 
 def _log_of_constant(t: Tower, delta: TowerElem) -> TowerElem:
@@ -536,12 +463,10 @@ def _log_of_constant(t: Tower, delta: TowerElem) -> TowerElem:
         raise UnsupportedError("log(0) is undefined")
     if delta == t.one():
         return t.zero()
-    if delta.is_constant():
-        return _make_log(t, delta)
     lvl = delta.level
-    mono = t.monomial_at(lvl)
     rep = delta.rep
-    if mono.kind == "exp" and t._dlog[lvl - 1].is_zero():
+    mono = t.monomial_at(lvl) if lvl else None
+    if mono is not None and mono.kind == "exp" and t._dlog[lvl - 1].is_zero():
         num, den = rep.num, rep.den
         # delta = c * theta^k
         if den.degree() == 0 and len([c for c in num.coeffs if not c.is_zero()]) == 1:
@@ -549,36 +474,23 @@ def _log_of_constant(t: Tower, delta: TowerElem) -> TowerElem:
             lead = TowerElem(t, lvl - 1, num.coeff(k) / den.coeff(0))
             if t.is_formal_constant(lead):
                 return mono.arg * k + _log_of_constant(t, lead)
-    for m in t.monomials:
-        if m.kind == "log" and t._dlog[m.level - 1].is_zero() and m.arg == delta:
-            return t.theta(m.level)
-    t._append_monomial("log", delta, "")
-    return t.theta(t.height)
+    found = _existing(t, "log", delta)
+    return found if found is not None else t._append_monomial("log", delta, "")
 
 
 def _make_exp(t: Tower, b: TowerElem) -> TowerElem:
-    if b.is_zero():
-        return t.one()
-    if b.is_constant():
-        for mono in t.monomials:
-            if mono.kind == "exp" and mono.is_constant_arg() and mono.arg == b:
-                return t.theta(mono.level)
-        t._append_monomial("exp", b, "")
-        return t.theta(t.height)
     if t.is_formal_constant(b):
         return _exp_of_constant(t, b)
-    db = t.derive(b)
-    for mono in t.monomials:
-        if mono.kind == "exp" and mono.arg == b:
-            return t.theta(mono.level)
-    basis, labels = _dependence_basis(t, t.height)
-    sol = _relation_solve(t, basis, db)
+    found = _existing(t, "exp", b)
+    if found is not None:
+        return found
+    basis, labels = _dependence_basis(t)
+    sol = _relation_solve(t, basis, t.derive(b))
     if sol is None:
-        theta = t._append_monomial(
+        return t._append_monomial(
             "exp", b,
             f"exp({pretty_print(t.to_expr(b))}) assumed transcendental over the tower below",
         )
-        return theta
     # b = sum q_k * (b_i or log a_j) + constant
     combo = t.zero()
     product = t.one()
@@ -605,30 +517,18 @@ def _make_exp(t: Tower, b: TowerElem) -> TowerElem:
 
 
 def _make_log(t: Tower, a: TowerElem) -> TowerElem:
-    if a.is_zero():
-        raise UnsupportedError("log(0) is undefined")
-    if a == t.one():
-        return t.zero()
-    if a.is_constant():
-        for mono in t.monomials:
-            if mono.kind == "log" and mono.is_constant_arg() and mono.arg == a:
-                return t.theta(mono.level)
-        t._append_monomial("log", a, "")
-        return t.theta(t.height)
     if t.is_formal_constant(a):
         return _log_of_constant(t, a)
-    dlog_a = t.derive(a) / a
-    for mono in t.monomials:
-        if mono.kind == "log" and mono.arg == a:
-            return t.theta(mono.level)
-    basis, labels = _dependence_basis(t, t.height)
-    sol = _relation_solve(t, basis, dlog_a)
+    found = _existing(t, "log", a)
+    if found is not None:
+        return found
+    basis, labels = _dependence_basis(t)
+    sol = _relation_solve(t, basis, t.derive(a) / a)
     if sol is None:
-        theta = t._append_monomial(
+        return t._append_monomial(
             "log", a,
             f"log({pretty_print(t.to_expr(a))}) assumed transcendental over the tower below",
         )
-        return theta
     combo = t.zero()
     product = t.one()
     for q, mono in zip(sol, labels):

@@ -22,7 +22,6 @@ from liouville.algebra import (
     resultant,
     partial_fractions,
     linear_solve,
-    det,
     power_sums,
     gauss_rational_roots,
     gauss_sqrt,
@@ -62,6 +61,33 @@ def rand_nonzero_poly(rng, max_deg=4, min_deg=0, rational_only=False):
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def det(rows: list[list], field):
+    """Determinant by fraction-full elimination; exact over a field."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    out = field.one()
+    for c in range(n):
+        pivot = None
+        for k in range(c, n):
+            if not a[k][c].is_zero():
+                pivot = k
+                break
+        if pivot is None:
+            return field.zero()
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            out = -out
+        pv = a[c][c]
+        out = out * pv
+        inv_rowc = [v / pv for v in a[c]]
+        for k in range(c + 1, n):
+            f = a[k][c]
+            if f.is_zero():
+                continue
+            a[k] = [v - f * w for v, w in zip(a[k], inv_rowc)]
+    return out
 
 
 def sylvester_resultant(a: Poly, b: Poly):

@@ -1,7 +1,11 @@
 """Edge cases: constant-argument monomials, unsupported inputs, trig
 integrands end to end."""
+import ast
+from pathlib import Path
+
 import pytest
 
+import liouville
 from liouville.errors import UnsupportedError
 from liouville.syntax import parse
 from liouville.tower import build_tower
@@ -91,3 +95,15 @@ def test_exp_laurent_part():
 
 def test_mixed_sum_of_levels():
     assert_ok("1/x + log(x) + x*exp(x) + 1/(x*log(x))", (2.0, 3.0))
+
+
+def test_no_assert_in_src():
+    """Invariants are explicit raises, so they still fire under python -O."""
+    root = Path(liouville.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -760,3 +760,20 @@ def test_constancy_does_not_differentiate_the_integrand(monkeypatch):
     res = integrate(t, f)
     monkeypatch.undo()
     assert_verified(t, f, res)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("(exp(x)*exp(i*x) - exp((1+i)*x))/x", 0),
+    ("(exp(x)*exp(i*x) - exp(x+i*x))/x", 0),
+    ("exp(x)*exp(i*x)/x", 1),
+])
+def test_complex_exp_relation_is_folded(text, code):
+    """exp((1+i)x) = exp(x)*exp(i x) is a relation over Q between D(x) = 1
+    and D(i x) = i, so the first two integrands are identically 0; certifying
+    them would rest on a false independence."""
+    out = io.StringIO()
+    assert cli_run(RunConfig(integrand=text, json_output=True), out=out) == code
+    doc = json.loads(out.getvalue())
+    assert len(doc["assumptions"]) == 2
+    if code == 0:
+        assert doc["r0"] == "0"

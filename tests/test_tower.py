@@ -13,8 +13,8 @@ from liouville.algebra.gaussian import GaussRat
 from liouville.errors import UnsupportedError, DependentMonomialError
 from liouville.syntax import parse
 from liouville.tower import (
-    Tower, Monomial, TowerElem, Valid, Dependent,
-    build_tower, check_monomial,
+    Tower, TowerElem, build_tower, convert_expr,
+    _dependence_basis, _relation_solve,
 )
 
 
@@ -97,7 +97,7 @@ def test_degenerate_constant_monomials():
     t, f = build("exp(x) + exp(x + 1)")
     assert t.height == 2
     assert sorted(m.kind for m in t.monomials) == ["exp", "exp"]
-    assert any(m.is_constant_arg() for m in t.monomials)
+    assert any(m.arg.is_constant() for m in t.monomials)
     assert (t.derive(f) - (t.theta(1) + f - t.theta(1))).is_zero()
     d = t.derive(f)
     assert (d - f).is_zero()  # both summands are fixed by d/dx
@@ -261,34 +261,77 @@ def test_is_zero_agrees_with_numeric():
     assert agree > 150
 
 
-# ----------------------------------------------------------- check_monomial
+# ------------------------------------------------------ dependence screening
 
 
-def test_check_monomial_examples():
-    # Exp(log x) over [Log(x)] is dependent
+def test_relation_solve_examples():
+    # exp(log x) over [log x]: D(log x) = 1 * dlog(x)
     t, _ = build("log(x)")
-    cand = Monomial("exp", t.theta(1), level=2, name="t2")
-    verdict = check_monomial(t, cand)
-    assert isinstance(verdict, Dependent)
+    basis, _ = _dependence_basis(t)
+    assert _relation_solve(t, basis, t.derive(t.theta(1))) == [1]
 
-    # Exp(x^2) over the base is valid
+    # exp(x^2) over the base: no basis, no relation
     t = Tower("x")
-    cand = Monomial("exp", t.x() * t.x(), level=1, name="t1")
-    verdict = check_monomial(t, cand)
-    assert isinstance(verdict, Valid)
+    assert _relation_solve(t, [], t.derive(t.x() * t.x())) is None
 
-    # Log(x^2) over [Log(x)]: multiplicative relation a = x^2
+    # log(x^2) over [log x]: dlog(x^2) = 2 * dlog(x)
     t, _ = build("log(x)")
-    cand = Monomial("log", t.x() * t.x(), level=2, name="t2")
-    verdict = check_monomial(t, cand)
-    assert isinstance(verdict, Dependent)
-    assert "2" in verdict.relation
+    basis, _ = _dependence_basis(t)
+    x2 = t.x() * t.x()
+    assert _relation_solve(t, basis, t.derive(x2) / x2) == [2]
+
+    # exp((1+i)x) over [exp(x), exp(i x)]: a relation over Q, not over Q(i)
+    t, _ = build("exp(x) + exp(i*x)")
+    basis, _ = _dependence_basis(t)
+    assert _relation_solve(t, basis, t.const(GaussRat(1, 1))) == [1, 1]
+    assert _relation_solve(t, basis[:1], t.const(GaussRat(0, 1))) is None
 
 
-def test_check_monomial_in_tower():
+def test_relation_solve_in_tower():
     t, _ = build("log(x) + exp(x^2)")
-    for mono in t.monomials:
-        assert isinstance(check_monomial(t, mono), Valid)
+    basis, labels = _dependence_basis(t)
+    assert len(labels) == t.height == 2
+    for k in range(len(basis)):
+        others = basis[:k] + basis[k + 1:]
+        assert _relation_solve(t, others, basis[k]) is None
+
+
+_EXP_GENS = ["x", "i*x", "x^2", "i*x^2", "x^3", "i*x^3"]
+_LOG_GENS = ["x", "x + 1", "x - 2", "x^2 + 1", "x^2 + x + 1"]
+
+
+def test_planted_relations_are_folded():
+    """Q-linear relations among exp arguments with complex coefficients and
+    among dlogs of products are found exactly: exp(sum c_k g_k + e log a) and
+    log(prod a_j^e_j) add no monomial and equal the product or sum of the
+    monomials already in the tower."""
+    rng = random.Random(28)
+    for _ in range(500):
+        gens = rng.sample(_EXP_GENS, rng.randint(1, 3))
+        logs = rng.sample(_LOG_GENS, rng.randint(1, 2))
+        t, _ = build(" + ".join([f"exp({g})" for g in gens] + [f"log({a})" for a in logs]))
+        height = t.height
+        thetas = {(m.kind, m.arg): t.theta(m.level) for m in t.monomials}
+        cs = [rng.randint(-2, 2) for _ in gens]
+        if not any(cs):
+            cs[0] = 1
+        e, a = rng.randint(-2, 2), rng.choice(logs)
+        planted = " + ".join(f"({c})*({g})" for c, g in zip(cs, gens))
+        f = convert_expr(t, parse(f"exp({planted} + ({e})*log({a}))"))
+        expected = convert_expr(t, parse(a)) ** e
+        for c, g in zip(cs, gens):
+            expected = expected * thetas["exp", convert_expr(t, parse(g))] ** c
+        assert t.height == height, planted
+        assert (f - expected).is_zero(), planted
+        es = [rng.randint(-2, 2) for _ in logs]
+        if not any(es):
+            es[0] = 1
+        f = convert_expr(t, parse("log(" + "*".join(f"({a})^({e})" for a, e in zip(logs, es)) + ")"))
+        expected = t.zero()
+        for a, e in zip(logs, es):
+            expected = expected + thetas["log", convert_expr(t, parse(a))] * e
+        assert t.height == height, logs
+        assert (f - expected).is_zero(), (logs, es)
 
 
 # ----------------------------------------------- differential automorphisms
