@@ -22,10 +22,8 @@ from .integrate import (
     RischOdeUnsolvable,
     LogDegreeObstruction,
     integrate,
-    hermite_reduce,
     rothstein_trager,
     integrate_polypart_log,
-    solve_rde,
     combine,
     form_derivative,
 )
@@ -58,10 +56,8 @@ __all__ = [
     "RischOdeUnsolvable",
     "LogDegreeObstruction",
     "integrate",
-    "hermite_reduce",
     "rothstein_trager",
     "integrate_polypart_log",
-    "solve_rde",
     "combine",
     "form_derivative",
     "VerificationReport",

@@ -13,7 +13,6 @@ from .poly import (
     resultant,
     squarefree_decompose,
     squarefree_part,
-    partial_fractions,
 )
 from .ratfunc import RatFunc, FracField
 from .extension import AlgExtField, AlgElem, SplitsModulus, power_sums
@@ -35,7 +34,6 @@ __all__ = [
     "resultant",
     "squarefree_decompose",
     "squarefree_part",
-    "partial_fractions",
     "RatFunc",
     "FracField",
     "AlgExtField",

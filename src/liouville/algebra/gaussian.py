@@ -127,9 +127,6 @@ class GaussRat:
 
     # -- structure --------------------------------------------------
 
-    def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """re^2 + im^2, the field norm down to Q."""
         return self.re * self.re + self.im * self.im

@@ -1,6 +1,8 @@
 """Shared error types for inputs outside the supported tower fragment."""
 from __future__ import annotations
 
+import os
+
 
 class UnsupportedError(Exception):
     """Input requires machinery outside scope (algebraic extensions,
@@ -18,4 +20,13 @@ class DependentMonomialError(UnsupportedError):
 
 
 class DegreeCapExceeded(UnsupportedError):
-    """An internal degree bound exceeded LIOUVILLE_MAX_DEGREE."""
+    """An internal degree bound or an input exponent exceeded
+    LIOUVILLE_MAX_DEGREE."""
+
+
+def _max_degree() -> int:
+    """The degree cap: LIOUVILLE_MAX_DEGREE, 64 when unset or malformed."""
+    try:
+        return int(os.environ.get("LIOUVILLE_MAX_DEGREE", "64"))
+    except ValueError:
+        return 64

@@ -16,7 +16,6 @@ Tr(a * D(v) * (N / v)) / N with N = res_a(S, v), never numerically.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 
 from .algebra.gaussian import GaussRat, QI
@@ -28,15 +27,8 @@ from .algebra.ratfunc import RatFunc, FracField
 from .algebra.extension import AlgExtField, SplitsModulus, power_sums
 from .algebra.linear import linear_solve
 from .algebra.roots import gauss_rational_roots
-from .errors import UnsupportedError, DegreeCapExceeded
+from .errors import UnsupportedError, DegreeCapExceeded, _max_degree
 from .tower import Tower, TowerElem
-
-
-def _max_degree() -> int:
-    try:
-        return int(os.environ.get("LIOUVILLE_MAX_DEGREE", "64"))
-    except ValueError:
-        return 64
 
 
 # ------------------------------------------------------------- result records
@@ -315,16 +307,6 @@ def _hermite(t: Tower, num: Poly, den: Poly, level: int):
         inv_scale = _coeff_const(t, GaussRat(1) / GaussRat(1 - m), level)
         num = t2 - (u * ds).scale(inv_scale)
         den = u * v ** (m - 1)
-
-
-def hermite_reduce(t: Tower, f: TowerElem):
-    """f must be a proper fraction at its level. Returns (rational_part,
-    remainder) with the remainder denominator squarefree."""
-    rep = f.rep
-    if rep.num.degree() >= rep.den.degree():
-        raise ValueError("hermite_reduce expects a proper fraction")
-    g, rn, rd = _hermite(t, rep.num, rep.den, f.level)
-    return g, _elem(t, f.level, rn, rd)
 
 
 # ------------------------------------------------------------ Rothstein-Trager
@@ -712,19 +694,6 @@ def _solve_rde_level(t: Tower, w: TowerElem, g: TowerElem, level: int,
     if not resid.is_zero():
         trace.add("residual after coefficient recursion is nonzero")
         return None
-    return y
-
-
-def solve_rde(t: Tower, w: TowerElem, g: TowerElem):
-    """Rational solution of y' + w*y = g, or RischOdeUnsolvable with the
-    degree-bound trace."""
-    level = max(w.level, g.level)
-    trace = _RdeTrace()
-    y = _solve_rde_level(t, w, g, level, trace)
-    if y is None:
-        return RischOdeUnsolvable(
-            level, ode=f"y' + ({w})*y = {g}", trace=tuple(trace.notes), w=w, g=g
-        )
     return y
 
 

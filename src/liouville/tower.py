@@ -23,8 +23,11 @@ linear system over Q read off the coefficients of the cleared numerators, so
 log(x^2) = 2 log x are simplified away; a relation with a fractional
 coefficient raises a structured error carrying the witness.
 
-Numeric evaluation: `Tower.point(x)` is [x, t1(x), ..., th(x)] with
-principal branches, and `Tower.eval_rep` evaluates any element on it.
+Numeric evaluation: `float_image` converts an element's coefficients to
+complex once, into nested tuples in Horner order; `Tower.point(x)` is
+[x, t1(x), ..., th(x)] with principal branches, each monomial argument's
+image built once when the monomial is adjoined; `eval_image` evaluates an
+image on a point.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ from .algebra.gaussian import GaussRat, QI
 from .algebra.poly import Poly
 from .algebra.ratfunc import RatFunc, FracField
 from .algebra.linear import linear_solve
-from .errors import UnsupportedError, DependentMonomialError
+from .errors import UnsupportedError, DependentMonomialError, DegreeCapExceeded, _max_degree
 from . import syntax
 from .syntax import (
     Expr, Const, Var, Add, Sub, Mul, Div, Pow, Exp, Log,
@@ -183,6 +186,7 @@ class Tower:
         self.monomials: list[Monomial] = []
         self.fields: list[FracField] = [FracField(QI, base_var)]
         self._dlog: list[TowerElem] = []  # per monomial: D(arg)/arg or D(arg)
+        self._images: list[tuple | None] = []  # per monomial: float_image of arg
 
     # -- structure --------------------------------------------------------
 
@@ -234,6 +238,10 @@ class Tower:
             self._dlog.append(d_arg / arg if not d_arg.is_zero() else self.zero())
         else:
             self._dlog.append(d_arg)
+        try:
+            self._images.append(float_image(arg.rep, arg.level))
+        except OverflowError:  # beyond float range: point() raises, as evaluating did
+            self._images.append(None)
         return self.theta(level)
 
     # -- derivation ---------------------------------------------------------
@@ -296,27 +304,16 @@ class Tower:
         """[x, t1(x), ..., th(x)]: every monomial evaluated once, with
         principal branches, in tower order."""
         pt = [x]
-        for mono in self.monomials:
-            a = self.eval_rep(mono.arg.rep, mono.arg.level, pt)
+        for mono, img in zip(self.monomials, self._images):
+            if img is None:
+                raise OverflowError(f"coefficient of {mono.arg} beyond float range")
+            a = eval_image(img, pt)
             pt.append(cmath.log(a) if mono.kind == "log" else cmath.exp(a))
         return pt
 
-    def eval_rep(self, rep: RatFunc, level: int, pt: list[complex]) -> complex:
-        """Value of a representation at `level` on a point from `point`."""
-        v, num_den = pt[level], []
-        for p in (rep.num, rep.den):
-            acc = 0j
-            for c in reversed(p.coeffs):
-                acc = acc * v + (self.eval_rep(c, level - 1, pt) if level else c.to_complex())
-            num_den.append(acc)
-        n, d = num_den
-        if d == 0:
-            raise ZeroDivisionError("evaluation hits a pole")
-        return n / d
-
     def eval_complex(self, f: TowerElem, x_val: complex) -> complex:
         """Numeric evaluation with principal branches for the monomials."""
-        return self.eval_rep(f.rep, f.level, self.point(x_val))
+        return eval_image(float_image(f.rep, f.level), self.point(x_val))
 
     # -- rendering --------------------------------------------------------------
 
@@ -360,6 +357,29 @@ class Tower:
 
     def assumptions(self) -> list[str]:
         return [m.assumption for m in self.monomials if m.assumption]
+
+
+def float_image(rep: RatFunc, level: int) -> tuple:
+    """(level, num, den) with each polynomial's coefficients highest first:
+    complex at level 0, images one level down above it."""
+    return (level,) + tuple(
+        tuple(float_image(c, level - 1) if level else c.to_complex() for c in reversed(p.coeffs))
+        for p in (rep.num, rep.den))
+
+
+def eval_image(img: tuple, pt: list[complex]) -> complex:
+    """Value of a float image on a point from `Tower.point`, by Horner's rule."""
+    level, num, den = img
+    if level:
+        num, den = [eval_image(c, pt) for c in num], [eval_image(c, pt) for c in den]
+    v, n, d = pt[level], 0j, 0j
+    for c in num:
+        n = n * v + c
+    for c in den:
+        d = d * v + c
+    if d == 0:
+        raise ZeroDivisionError("evaluation hits a pole")
+    return n / d
 
 
 # ------------------------------------------------------- dependence screening
@@ -582,6 +602,8 @@ def _convert(t: Tower, e: Expr, var: str) -> TowerElem:
                 n = int(c.re)
                 if n < 0 and base.is_zero():
                     raise UnsupportedError("zero raised to a negative power")
+                if abs(n) > _max_degree() and not base.is_constant():
+                    raise DegreeCapExceeded(f"input exponent {n} exceeds LIOUVILLE_MAX_DEGREE")
                 return base ** n
             raise UnsupportedError(
                 "algebraic extension unsupported: fractional power "

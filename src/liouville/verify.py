@@ -8,6 +8,9 @@ It must match the endpoint difference of the antiderivative (principal
 branches; root sums from their residue polynomial's roots, found once per
 check) relative to max(1, integral of |f|); a Simpson error estimate above
 that tolerance makes the interval inconclusive, neither passed nor failed.
+Each checked element is converted to its float image (`float_image`) once
+per check and evaluated on one `Tower.point` per sample, so no exact
+coefficient is converted again per sample.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import cmath
 from dataclasses import dataclass
 
 from .algebra.roots import durand_kerner
-from .tower import Tower, TowerElem
+from .tower import Tower, TowerElem, float_image, eval_image
 from .integrate import LiouvilleForm, form_derivative
 
 _PIECES = 4           # quadrature sub-intervals of the checked interval
@@ -66,16 +69,19 @@ def _eval_form(t: Tower, form: LiouvilleForm, xs: list[float]) -> list[complex]:
     polynomial are found once."""
     roots = [durand_kerner([c.to_complex() for c in rs.poly.coeffs])
              for rs in form.root_sums]
+    r0 = float_image(form.r0.rep, form.r0.level)
+    logs = [(term.coeff.to_complex(), float_image(term.arg.rep, term.arg.level))
+            for term in form.logs]
+    sums = [[float_image(rs.arg.coeff(k), rs.level) for k in range(rs.arg.degree(), -1, -1)]
+            for rs in form.root_sums]
     out = []
     for x in xs:
         pt = t.point(complex(x))
-        val = t.eval_rep(form.r0.rep, form.r0.level, pt)
-        for term in form.logs:
-            arg = t.eval_rep(term.arg.rep, term.arg.level, pt)
-            val += term.coeff.to_complex() * cmath.log(arg)
-        for rs, rs_roots in zip(form.root_sums, roots):
-            coeffs = [t.eval_rep(rs.arg.coeff(k), rs.level, pt)
-                      for k in range(rs.arg.degree(), -1, -1)]
+        val = eval_image(r0, pt)
+        for coeff, arg in logs:
+            val += coeff * cmath.log(eval_image(arg, pt))
+        for images, rs_roots in zip(sums, roots):
+            coeffs = [eval_image(img, pt) for img in images]
             for root in rs_roots:
                 arg = 0j
                 for coeff in coeffs:
@@ -146,14 +152,16 @@ def _scan_singularities(t: Tower, form: LiouvilleForm, f: TowerElem,
             if hits:
                 raise SingularIntervalError(f"zero or pole of {label}", hits[0])
     prev_args: dict[int, complex] = {}
-    values = []
+    values, images = [], []
     for k in range(_SCAN_STEPS + 1):
         x = lo + (hi - lo) * k / _SCAN_STEPS
         for idx, (label, elem, is_log_arg) in enumerate(watch):
             try:
                 if not idx:  # a failure computing the point is the integrand's
                     pt = t.point(complex(x))
-                v = t.eval_rep(elem.rep, elem.level, pt)
+                if not k:  # each image once, where its first evaluation was
+                    images.append(float_image(elem.rep, elem.level))
+                v = eval_image(images[idx], pt)
             except ZeroDivisionError:
                 raise SingularIntervalError(f"pole of {label}", x)
             except (ValueError, OverflowError):  # log(0) or exp overflow inside

@@ -20,18 +20,19 @@ from fractions import Fraction
 from liouville.algebra.gaussian import GaussRat, QI
 from liouville.algebra.poly import (
     Poly, poly_gcd, poly_divmod, extended_gcd, resultant,
-    squarefree_decompose, partial_fractions, poly_exact_div,
+    squarefree_decompose, poly_exact_div,
 )
 from liouville.algebra.ratfunc import RatFunc
 from liouville.syntax import parse, pretty_print
 from liouville.tower import Tower, TowerElem, build_tower
 from liouville.integrate import (
     LiouvilleForm, NonElementary, ResidueNotConstant, RischOdeUnsolvable,
-    integrate, hermite_reduce, rothstein_trager,
+    integrate, rothstein_trager,
 )
 from liouville.verify import verify_derivative, numeric_check
 
-from test_integrate import brute_rde_poly_solution
+from test_algebra import partial_fractions
+from test_integrate import brute_rde_poly_solution, hermite_reduce
 from test_syntax import _rand_expr
 
 ELEMENTARY = [

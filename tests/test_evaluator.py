@@ -1,7 +1,8 @@
-"""The numeric evaluator `Tower.point` / `Tower.eval_rep` against the
-per-element evaluator it replaced, kept below as the reference: the same
-float operations in the same order, so values agree exactly (compared by
-repr, which tells signed zeros apart) and failures raise the same type."""
+"""The numeric evaluator (`float_image` / `eval_image` on `Tower.point`)
+against the per-element evaluator it replaced, kept below as the reference:
+the same float operations in the same order, so values agree exactly
+(compared by repr, which tells signed zeros apart) and failures raise the
+same type."""
 import cmath
 import random
 
@@ -11,7 +12,7 @@ from liouville.algebra.gaussian import GaussRat
 from liouville.algebra.roots import durand_kerner
 from liouville.integrate import integrate, LiouvilleForm
 from liouville.syntax import parse
-from liouville.tower import TowerElem, build_tower
+from liouville.tower import TowerElem, build_tower, eval_image, float_image
 from liouville.verify import numeric_check
 
 
@@ -120,20 +121,32 @@ POINTS = [0.7, 1.3, 2.5, -1.5, 3.0, 0.4 + 0.9j, -1.2 - 0.3j, 2.0 - 1e-3j]
 # ------------------------------------------------------------------- tests
 
 
-def test_point_and_eval_rep_match_the_reference_exactly():
+def test_point_and_eval_image_match_the_reference_exactly():
     rng = random.Random(15)
     compared = 0
     for text in TOWERS:
         t, f = build_tower(parse(text))
         for elem in [f] + [rand_elem(t, rng) for _ in range(8)]:
+            img = float_image(elem.rep, elem.level)  # one image, every point
             for x in POINTS:
                 z = complex(x)
                 expected = outcome(ref_eval_complex, t, elem, z)
                 assert outcome(t.eval_complex, elem, z) == expected, (text, elem, x)
-                got = outcome(lambda: t.eval_rep(elem.rep, elem.level, t.point(z)))
+                got = outcome(lambda: eval_image(img, t.point(z)))
                 assert got == expected, (text, elem, x)
                 compared += isinstance(expected, str)
     assert compared > 300
+
+
+def test_image_is_nested_tuples_in_horner_order():
+    t, f = build_tower(parse("(2*x + 3)/(x - 1)"))
+    assert float_image(f.rep, f.level) == (0, (2 + 0j, 3 + 0j), (1 + 0j, -1 + 0j))
+    t, f = build_tower(parse("log(x)^2/(x + 1) + 1"))
+    level, num, den = float_image(f.rep, f.level)
+    assert level == 1 and len(num) == 3 and den == ((0, (1 + 0j,), (1 + 0j,)),)
+    assert num[0] == (0, (1 + 0j,), (1 + 0j, 1 + 0j))
+    # the monomial arguments' images are built once, when adjoined
+    assert t._images == [(0, (1 + 0j, 0j), (1 + 0j,))]
 
 
 def test_point_lists_x_and_every_monomial():
@@ -151,6 +164,8 @@ def test_failures_raise_the_reference_exception():
         ("exp(1/x)", 0.0, ZeroDivisionError),      # pole inside a monomial
         ("exp(exp(x))", 800.0, OverflowError),     # exp overflow in the point
         ("1/log(x)", 1.0, ZeroDivisionError),      # pole above level 0
+        ("10^400*x", 1.0, OverflowError),          # coefficient beyond float range
+        ("exp(10^400*x)", 1.0, OverflowError),     # the same inside a monomial
     ]
     for text, x, exc in cases:
         t, f = build_tower(parse(text))

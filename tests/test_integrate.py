@@ -24,14 +24,38 @@ from liouville.tower import Tower, TowerElem, build_tower
 from liouville.integrate import (
     LiouvilleForm, LogTerm, NonElementary, RootSumTerm,
     ResidueNotConstant, RischOdeUnsolvable, LogDegreeObstruction,
-    integrate, hermite_reduce, rothstein_trager, integrate_polypart_log,
-    solve_rde, combine, form_derivative, _rootsum_dlog, _logs_dlog,
+    integrate, rothstein_trager, integrate_polypart_log,
+    combine, form_derivative, _rootsum_dlog, _logs_dlog,
+    _elem, _hermite, _RdeTrace, _solve_rde_level,
 )
 
 # the package re-exports the function integrate under the module's name
 integrate_mod = importlib.import_module("liouville.integrate")
 poly_mod = importlib.import_module("liouville.algebra.poly")
 extension_mod = importlib.import_module("liouville.algebra.extension")
+
+
+def hermite_reduce(t: Tower, f: TowerElem):
+    """f must be a proper fraction at its level. Returns (rational_part,
+    remainder) with the remainder denominator squarefree."""
+    rep = f.rep
+    if rep.num.degree() >= rep.den.degree():
+        raise ValueError("hermite_reduce expects a proper fraction")
+    g, rn, rd = _hermite(t, rep.num, rep.den, f.level)
+    return g, _elem(t, f.level, rn, rd)
+
+
+def solve_rde(t: Tower, w: TowerElem, g: TowerElem):
+    """Rational solution of y' + w*y = g, or RischOdeUnsolvable with the
+    degree-bound trace."""
+    level = max(w.level, g.level)
+    trace = _RdeTrace()
+    y = _solve_rde_level(t, w, g, level, trace)
+    if y is None:
+        return RischOdeUnsolvable(
+            level, ode=f"y' + ({w})*y = {g}", trace=tuple(trace.notes), w=w, g=g
+        )
+    return y
 
 
 def build(text):

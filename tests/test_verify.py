@@ -86,6 +86,30 @@ def test_numeric_check_costs_one_scan_and_five_form_points(monkeypatch):
     assert roots.count(residue) == 1
 
 
+def test_exact_to_float_conversions_do_not_scale_with_the_scan(monkeypatch):
+    # every checked element is converted to its float image once per check,
+    # so halving the scan leaves the number of conversions unchanged
+    to_complex = GaussRat.to_complex
+    for text, interval in [("exp(x)*log(x) + exp(x)/x", (1.0, 2.0)),
+                           ("1/(x^3-2)", (2.0, 3.0)),
+                           ("2*x/(x^2+1) + log(x)/x", (1.0, 2.0))]:
+        t, f, res = run(text)
+        counts = []
+        for steps in (256, 512):
+            calls = [0]
+
+            def counted(z):
+                calls[0] += 1
+                return to_complex(z)
+
+            monkeypatch.setattr(verify, "_SCAN_STEPS", steps)
+            monkeypatch.setattr(GaussRat, "to_complex", counted)
+            assert numeric_check(t, res, f, interval).numeric_ok, text
+            monkeypatch.setattr(GaussRat, "to_complex", to_complex)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0, (text, counts)
+
+
 def test_numeric_check_complex_logs():
     # antiderivative with lambda = +-i/4 stays real on the real axis
     t, f, res = run("1/(x^2+1)^2")
